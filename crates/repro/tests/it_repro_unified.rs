@@ -7,7 +7,8 @@
 //! process-level coverage of the shared parser's `--trials-scale`
 //! validation.
 
-use redundancy_integration::snapshot::{binary_path, run_exhibit, snapshot_path, EXHIBITS};
+use redundancy_integration::snapshot::{run_exhibit, snapshot_path, EXHIBITS};
+use std::path::Path;
 use std::process::Command;
 
 fn argv(parts: &[&str]) -> Vec<String> {
@@ -22,15 +23,15 @@ fn cli_repro(name: &str, threads: &str) -> String {
 }
 
 /// The three-way byte equality at thread counts 1 and 4: pinned snapshot,
-/// standalone binary (honoring `SNAPSHOT_THREADS`), unified CLI.
-fn check_unified(name: &str) {
+/// standalone binary at `bin` (honoring `SNAPSHOT_THREADS`), unified CLI.
+fn check_unified(name: &str, bin: &Path) {
     let snapshot = std::fs::read_to_string(snapshot_path(name)).unwrap_or_else(|e| {
         panic!(
             "no snapshot for {name} at {}: {e}",
             snapshot_path(name).display()
         )
     });
-    let binary = run_exhibit(name);
+    let binary = run_exhibit(name, bin);
     assert_eq!(
         binary, snapshot,
         "standalone binary {name} drifted from its snapshot"
@@ -49,7 +50,10 @@ macro_rules! unified_tests {
     ($($name:ident),+ $(,)?) => {$(
         #[test]
         fn $name() {
-            check_unified(stringify!($name));
+            check_unified(
+                stringify!($name),
+                Path::new(env!(concat!("CARGO_BIN_EXE_", stringify!($name)))),
+            );
         }
     )+};
 }
@@ -82,36 +86,27 @@ fn registry_matches_the_snapshot_harness() {
 }
 
 /// `--trials-scale 0` is rejected at the process level with exit code 2
-/// and an error naming the flag — by the legacy binary and by the unified
-/// subcommand alike (they share one parser).
+/// and an error naming the flag.  The unified subcommand shares this
+/// parser; its process-level twin is in the CLI crate's `exit_codes`
+/// suite, where cargo builds the `redundancy` binary.
 #[test]
 fn trials_scale_zero_exits_2_naming_the_flag() {
-    for (bin, args) in [
-        ("appendix_a_collusion", vec!["--trials-scale", "0"]),
-        (
-            "redundancy",
-            vec!["repro", "appendix_a_collusion", "--trials-scale", "0"],
-        ),
-    ] {
-        let path = binary_path(bin);
-        assert!(path.exists(), "{} not built", path.display());
-        let out = Command::new(&path)
-            .args(&args)
-            .output()
-            .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{bin} {args:?} should exit 2, got {:?}",
-            out.status
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--trials-scale"),
-            "{bin} stderr must name the flag: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{bin} must not print a report");
-    }
+    let out = Command::new(env!("CARGO_BIN_EXE_appendix_a_collusion"))
+        .args(["--trials-scale", "0"])
+        .output()
+        .expect("spawning appendix_a_collusion");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "should exit 2, got {:?}",
+        out.status
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--trials-scale"),
+        "stderr must name the flag: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "must not print a report");
 }
 
 /// The same validation is reachable in-process, matching the established

@@ -2,15 +2,21 @@
 //!
 //! See `tests/src/snapshot.rs` for the harness and `docs/TESTING.md` for
 //! the update workflow.  One test per exhibit so failures name the drifted
-//! binary directly and the suite parallelizes across exhibits.
+//! binary directly and the suite parallelizes across exhibits.  Cargo
+//! builds every exhibit binary before this suite runs and hands over its
+//! path as `CARGO_BIN_EXE_<name>`.
 
 use redundancy_integration::snapshot::check_exhibit;
+use std::path::Path;
 
 macro_rules! snapshot_tests {
     ($($name:ident),+ $(,)?) => {$(
         #[test]
         fn $name() {
-            check_exhibit(stringify!($name));
+            check_exhibit(
+                stringify!($name),
+                Path::new(env!(concat!("CARGO_BIN_EXE_", stringify!($name)))),
+            );
         }
     )+};
 }

@@ -254,11 +254,13 @@ impl CampaignAccumulator {
 /// Resolve the adversary model to a prepared holdings sampler for one spec
 /// group.
 ///
-/// This is the *single* place every campaign variant — batch kernels and
-/// the live [`crate::serve`] store alike — maps the adversary model to a
-/// distribution, so the model match cannot drift between them; preparation
-/// happens once per spec group, and the returned handle draws with no
-/// per-task dispatch or indexing.
+/// This is the place every batch campaign variant maps the adversary
+/// model to a distribution, so the model match cannot drift between them;
+/// preparation happens once per spec group, and the returned handle draws
+/// with no per-task dispatch or indexing.  The live [`crate::serve`] store
+/// keeps plan ids instead of a borrowed handle and resolves the same
+/// bit-compat parameter sets itself; its drain oracles pin the two
+/// together.
 pub(crate) fn prepare_holdings<'a>(
     config: &CampaignConfig,
     mult: u64,

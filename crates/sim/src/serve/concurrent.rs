@@ -7,21 +7,20 @@
 //! batch-kernel identity for genuine concurrency while keeping an equally
 //! strong determinism contract:
 //!
-//! * **Per-shard locking.**  Task state is partitioned over `shards`
-//!   sub-stores by the same FNV-1a id hash as the single-stream store.
-//!   Each shard sits behind its own [`Mutex`] and owns its free-list
-//!   (timeout re-queue), its sampler caches, its tick clock, its partial
-//!   [`CampaignOutcome`], and its counters; [`request_work`]
-//!   (ConcurrentStore::request_work) routes via a round-robin cursor and
-//!   touches one shard's lock at a time, and
+//! * **Per-shard locking.**  Task ids are partitioned over `shards` by an
+//!   FNV-1a id hash, computed once when the store is built.  Each shard is
+//!   the same shard state machine the single-stream store runs (`serve::
+//!   shard`), behind its own [`Mutex`]: its free-list (timeout re-queue),
+//!   tick clock, flat task arena, partial [`CampaignOutcome`], and
+//!   counters.  [`request_work`](ConcurrentStore::request_work) routes via
+//!   a round-robin cursor and touches one shard's lock at a time, and
 //!   [`return_result`](ConcurrentStore::return_result) locks exactly the
-//!   owning shard.  [`ServeStats`] is aggregated from the per-shard cells
-//!   on demand.
+//!   owning shard and indexes the task's slot directly.  [`ServeStats`] is
+//!   aggregated from the per-shard cells on demand.
 //!
 //! * **Per-shard RNG streams.**  Shard `s` draws every activation from
 //!   `DeterministicRng::new(SeedSequence::new(seed).derive(s))` and
-//!   activates *its own* ids in id order, lazily skipping ids other
-//!   shards own.  A shard's activation sequence is therefore a pure
+//!   activates *its own* ids in id order.  A shard's activation sequence is therefore a pure
 //!   function of `(seed, shard count, s)` — no client interleaving can
 //!   perturb it, because no other shard ever touches its stream.  With a
 //!   timeout no client trips, a *drained* store's merged outcome, final
@@ -36,21 +35,17 @@
 //! multi-threaded drain.  The serve proptests and the `serve_concurrent`
 //! bench pin this.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::protocol::handle_request;
-use super::store::{
-    judge_completed, materialize_task, shard_hash, Assignment, CopyState, InFlightRec, Issue,
-    ReturnAck, ServeConfig, ServeError, ServeStats, TaskState,
-};
+use super::shard::{shard_of, Owner, ShardStore, Workload};
+use super::store::{Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::supervisor::Supervisor;
-use crate::task::{grouped_specs, ResultValue, SpecGroup, TaskId, TaskSpec};
-use redundancy_stats::{BinomialCache, DeterministicRng, HypergeometricCache, SeedSequence};
+use crate::task::{TaskId, TaskSpec};
+use redundancy_stats::{DeterministicRng, SeedSequence};
 
 /// Which RNG-stream discipline a serve session runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,359 +82,24 @@ impl std::fmt::Display for StreamMode {
     }
 }
 
-/// One shard of the concurrent store: its slice of task state, its own
-/// RNG stream, sampler caches, free-list, in-flight queue, tick clock,
-/// counters, and partial outcome.  Everything a request touches after
-/// routing lives behind this shard's lock.
+/// One shard's lock-protected state: the shard machine and its own RNG
+/// stream, `SeedSequence::derive(shard)`.
 #[derive(Debug)]
-struct ShardStore {
-    /// This shard's index and the total shard count, for the id walk.
-    shard: u64,
-    nshards: u64,
-    config: CampaignConfig,
-    supervisor: Supervisor,
-    timeout: u64,
-    max_retries: u32,
-    /// This shard's derived RNG stream: `SeedSequence::derive(shard)`.
+struct Locked {
+    store: ShardStore,
     rng: DeterministicRng,
-    binomial: BinomialCache,
-    hypergeometric: HypergeometricCache,
-    /// Shared immutable description of the whole workload; each shard
-    /// walks it independently, activating only the ids it owns.
-    groups: std::sync::Arc<[SpecGroup]>,
-    group_cursor: usize,
-    group_offset: u64,
-    /// The task currently being dealt: (local slot, next copy, mult).
-    active: Option<(u32, u32, u32)>,
-    /// Activated tasks in id order (so return routing binary-searches).
-    tasks: Vec<TaskState>,
-    /// The timeout free-list: (local slot, copy, attempt).
-    requeue: VecDeque<(u32, u32, u32)>,
-    /// In-flight copies in deadline order; `task` is the local slot.
-    inflight: VecDeque<InFlightRec>,
-    now: u64,
-    issued: u64,
-    returned: u64,
-    in_flight_count: u64,
-    lost: u64,
-    activated_tasks: u64,
-    completed_tasks: u64,
-    /// How many tasks/copies of the workload this shard owns in total.
-    owned_tasks: u64,
-    owned_copies: u64,
-    outcome: CampaignOutcome,
-    results_buf: Vec<ResultValue>,
 }
 
-impl ShardStore {
-    fn is_drained(&self) -> bool {
-        self.completed_tasks == self.owned_tasks
-    }
-
-    /// Draw holdings and materialize values for the next task *this shard
-    /// owns*, in id order, from this shard's own stream.  Returns false
-    /// when the shard's slice is fully activated.
-    fn activate_next(&mut self) -> bool {
-        loop {
-            let Some(g) = self.groups.get(self.group_cursor) else {
-                return false;
-            };
-            if self.group_offset >= g.count {
-                self.group_cursor += 1;
-                self.group_offset = 0;
-                continue;
-            }
-            let id = TaskId(g.first_id.0 + self.group_offset);
-            self.group_offset += 1;
-            if shard_hash(id.0) % self.nshards != self.shard {
-                continue;
-            }
-            let mult = u64::from(g.multiplicity);
-            let (held, cheats, values) = materialize_task(
-                &self.config,
-                &mut self.binomial,
-                &mut self.hypergeometric,
-                id,
-                mult,
-                &mut self.rng,
-            );
-            self.outcome.tasks += 1;
-            self.outcome.assignments += mult;
-            self.outcome.holdings.record(held as usize);
-            let slot = self.tasks.len() as u32;
-            self.tasks.push(TaskState {
-                spec: TaskSpec {
-                    id,
-                    multiplicity: g.multiplicity,
-                    precomputed: g.precomputed,
-                },
-                held,
-                cheats,
-                values,
-                copies: vec![CopyState::Pending; g.multiplicity as usize],
-                returned: 0,
-                lost: 0,
-                judged: false,
-            });
-            self.active = Some((slot, 0, g.multiplicity));
-            self.activated_tasks += 1;
-            return true;
-        }
-    }
-
-    fn request_work(&mut self) -> Issue {
-        self.now += 1;
-        self.expire_overdue();
-        if let Some((slot, copy, attempt)) = self.requeue.pop_front() {
-            return Issue::Work(self.issue(slot, copy, attempt));
-        }
-        if self.active.is_none() {
-            self.activate_next();
-        }
-        if let Some((slot, copy, mult)) = self.active {
-            self.active = if copy + 1 < mult {
-                Some((slot, copy + 1, mult))
-            } else {
-                None
-            };
-            return Issue::Work(self.issue(slot, copy, 0));
-        }
-        if self.in_flight_count > 0 {
-            Issue::Idle
-        } else {
-            debug_assert!(self.is_drained(), "shard: no work, none in flight");
-            Issue::Drained
-        }
-    }
-
-    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        let Ok(slot) = self.tasks.binary_search_by_key(&task.0, |t| t.spec.id.0) else {
-            // Owned by this shard but never activated: nothing issued yet.
-            return Err(ServeError::NotInFlight { task, copy });
-        };
-        let state = &mut self.tasks[slot];
-        if copy >= state.spec.multiplicity {
-            return Err(ServeError::CopyOutOfRange {
-                task,
-                copy,
-                multiplicity: state.spec.multiplicity,
-            });
-        }
-        if !matches!(state.copies[copy as usize], CopyState::InFlight { .. }) {
-            return Err(ServeError::NotInFlight { task, copy });
-        }
-        state.copies[copy as usize] = CopyState::Returned;
-        state.returned += 1;
-        self.returned += 1;
-        self.in_flight_count -= 1;
-        let complete = u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity);
-        if complete {
-            self.judge(slot);
-        }
-        Ok(ReturnAck {
-            task_complete: complete,
-        })
-    }
-
-    fn issue(&mut self, slot: u32, copy: u32, attempt: u32) -> Assignment {
-        let state = &mut self.tasks[slot as usize];
-        debug_assert_eq!(state.copies[copy as usize], CopyState::Pending);
-        state.copies[copy as usize] = CopyState::InFlight { attempt };
-        let spec = state.spec;
-        self.inflight.push_back(InFlightRec {
-            task: slot,
-            copy,
-            attempt,
-            deadline: self.now + self.timeout,
-        });
-        self.issued += 1;
-        self.in_flight_count += 1;
-        Assignment {
-            task: spec.id,
-            copy,
-            multiplicity: spec.multiplicity,
-        }
-    }
-
-    fn expire_overdue(&mut self) {
-        while let Some(rec) = self.inflight.front().copied() {
-            if rec.deadline > self.now {
-                break;
-            }
-            self.inflight.pop_front();
-            let state = &mut self.tasks[rec.task as usize];
-            let live = matches!(
-                state.copies[rec.copy as usize],
-                CopyState::InFlight { attempt } if attempt == rec.attempt
-            );
-            if !live {
-                continue;
-            }
-            self.in_flight_count -= 1;
-            self.outcome.timeouts += 1;
-            if rec.attempt >= self.max_retries {
-                state.copies[rec.copy as usize] = CopyState::Lost;
-                state.lost += 1;
-                self.lost += 1;
-                self.outcome.lost_assignments += 1;
-                if u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity) {
-                    self.judge(rec.task as usize);
-                }
-            } else {
-                self.outcome.retries += 1;
-                state.copies[rec.copy as usize] = CopyState::Pending;
-                self.requeue
-                    .push_back((rec.task, rec.copy, rec.attempt + 1));
-            }
-        }
-    }
-
-    fn judge(&mut self, slot: usize) {
-        let mut buf = std::mem::take(&mut self.results_buf);
-        self.completed_tasks += 1;
-        judge_completed(
-            &self.supervisor,
-            &mut self.tasks[slot],
-            &mut buf,
-            &mut self.outcome,
-        );
-        self.results_buf = buf;
-    }
-
-    /// Revert this shard's in-flight copies to pending, re-queueing each
-    /// under its current attempt number (no timeout or retry charged);
-    /// both `issued` and the in-flight count roll back so the
-    /// conservation invariant holds.
-    fn reset_in_flight(&mut self) -> u64 {
-        let mut reverted = 0u64;
-        while let Some(rec) = self.inflight.pop_front() {
-            let state = &mut self.tasks[rec.task as usize];
-            let live = matches!(
-                state.copies[rec.copy as usize],
-                CopyState::InFlight { attempt } if attempt == rec.attempt
-            );
-            if !live {
-                continue;
-            }
-            state.copies[rec.copy as usize] = CopyState::Pending;
-            self.requeue.push_back((rec.task, rec.copy, rec.attempt));
-            reverted += 1;
-        }
-        self.in_flight_count -= reverted;
-        self.issued -= reverted;
-        reverted
-    }
-
-    /// This shard's stats cell, scoped to the slice of the workload it
-    /// owns; the session snapshot is the field-wise sum of these.
-    fn stats(&self) -> ServeStats {
-        ServeStats {
-            total_tasks: self.owned_tasks,
-            activated_tasks: self.activated_tasks,
-            completed_tasks: self.completed_tasks,
-            total_copies: self.owned_copies,
-            issued: self.issued,
-            returned: self.returned,
-            in_flight: self.in_flight_count,
-            requeued: self.requeue.len() as u64,
-            lost: self.lost,
-            timeouts: self.outcome.timeouts,
-            retries: self.outcome.retries,
-            cheats_attempted: self.outcome.total_attempted(),
-            cheats_detected: self.outcome.total_detected(),
-            wrong_accepted: self.outcome.wrong_accepted,
-            false_flags: self.outcome.false_flags,
-            unresolved_tasks: self.outcome.unresolved_tasks,
-        }
-    }
-
-    /// Drain this shard to completion with immediate returns — the
-    /// shard-by-shard oracle's inner loop.
-    fn drain(&mut self) {
-        loop {
-            match self.request_work() {
-                Issue::Work(a) => {
-                    self.return_result(a.task, a.copy)
-                        .expect("drain returned an issued copy");
-                }
-                Issue::Idle => unreachable!("immediate returns leave nothing in flight"),
-                Issue::Drained => break,
-            }
-        }
-    }
-
-    fn check_invariants(&self) {
-        let mut in_flight = 0u64;
-        let mut returned = 0u64;
-        let mut lost = 0u64;
-        let mut completed = 0u64;
-        let mut prev_id: Option<u64> = None;
-        for state in &self.tasks {
-            assert!(
-                prev_id.is_none_or(|p| p < state.spec.id.0),
-                "shard task ids not strictly increasing"
-            );
-            prev_id = Some(state.spec.id.0);
-            assert_eq!(
-                shard_hash(state.spec.id.0) % self.nshards,
-                self.shard,
-                "task {} on the wrong shard",
-                state.spec.id.0
-            );
-            let mult = state.spec.multiplicity as usize;
-            assert_eq!(state.copies.len(), mult, "copy vector length drifted");
-            let mut counts = [0u32; 4];
-            for c in &state.copies {
-                counts[match c {
-                    CopyState::Pending => 0,
-                    CopyState::InFlight { .. } => 1,
-                    CopyState::Returned => 2,
-                    CopyState::Lost => 3,
-                }] += 1;
-            }
-            assert_eq!(
-                counts.iter().map(|&c| c as usize).sum::<usize>(),
-                mult,
-                "copies of task {} not conserved",
-                state.spec.id.0
-            );
-            assert_eq!(counts[2], state.returned, "returned count drifted");
-            assert_eq!(counts[3], state.lost, "lost count drifted");
-            assert_eq!(
-                state.judged,
-                u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity),
-                "task {} judged flag inconsistent",
-                state.spec.id.0
-            );
-            in_flight += u64::from(counts[1]);
-            returned += u64::from(counts[2]);
-            lost += u64::from(counts[3]);
-            completed += u64::from(state.judged);
-        }
-        assert_eq!(in_flight, self.in_flight_count, "in-flight count drifted");
-        assert_eq!(returned, self.returned, "returned count drifted");
-        assert_eq!(lost, self.lost, "lost count drifted");
-        assert_eq!(
-            self.tasks.len() as u64,
-            self.activated_tasks,
-            "activation count drifted"
-        );
-        assert_eq!(completed, self.completed_tasks, "completion count drifted");
-        let mut seen = std::collections::HashSet::new();
-        for &(slot, copy, _) in &self.requeue {
-            assert!(seen.insert((slot, copy)), "copy re-queued twice");
-            assert_eq!(
-                self.tasks[slot as usize].copies[copy as usize],
-                CopyState::Pending,
-                "re-queued copy not pending"
-            );
-        }
-        assert_eq!(
-            self.issued,
-            self.returned + self.outcome.timeouts + self.in_flight_count,
-            "issues leaked"
-        );
-    }
+/// One shard of the concurrent store: its locked state, plus its expiry
+/// counters mirrored outside the lock so the journal layer can read them
+/// on every tick without locking every shard.  The mirrors are statistics
+/// that publish no other data, so `Relaxed` suffices: the journal reads
+/// them on the thread that just issued, under its own session lock.
+#[derive(Debug)]
+struct Shard {
+    locked: Mutex<Locked>,
+    timeouts: AtomicU64,
+    lost: AtomicU64,
 }
 
 /// The per-shard-locked, per-shard-stream serve store.  Every method takes
@@ -448,12 +108,16 @@ impl ShardStore {
 /// determinism contract.
 #[derive(Debug)]
 pub struct ConcurrentStore {
-    shards: Vec<Mutex<ShardStore>>,
+    shards: Vec<Shard>,
+    /// Each task's slot in its owning shard's arena plus one, written when
+    /// the shard activates it (0: not yet activated).  An entry is only
+    /// written and read while its owning shard's mutex is held, and that
+    /// mutex orders the accesses, so they are `Relaxed`.  The table is
+    /// allocated zeroed, so its pages cost nothing until tasks activate.
+    slots: Box<[AtomicU32]>,
     /// Round-robin routing cursor for `request_work`.
     router: AtomicUsize,
-    base_id: u64,
-    total_tasks: u64,
-    total_copies: u64,
+    workload: Arc<Workload>,
     seed: u64,
 }
 
@@ -469,85 +133,58 @@ impl ConcurrentStore {
     ) -> Result<Self, String> {
         config.validate()?;
         serve.validate()?;
-        let groups: Vec<SpecGroup> = grouped_specs(tasks).collect();
-        let mut expected = groups.first().map_or(0, |g| g.first_id.0);
-        let base_id = expected;
-        let mut total_copies = 0u64;
-        let nshards = serve.shards as u64;
-        let mut owned_tasks = vec![0u64; serve.shards];
-        let mut owned_copies = vec![0u64; serve.shards];
-        for g in &groups {
-            if g.multiplicity == 0 {
-                return Err(format!("task {} has multiplicity 0", g.first_id.0));
-            }
-            if g.first_id.0 != expected {
-                return Err(format!(
-                    "task ids must be contiguous: expected {expected}, found {}",
-                    g.first_id.0
-                ));
-            }
-            expected += g.count;
-            total_copies += g.count * u64::from(g.multiplicity);
-            for offset in 0..g.count {
-                let s = (shard_hash(g.first_id.0 + offset) % nshards) as usize;
-                owned_tasks[s] += 1;
-                owned_copies[s] += u64::from(g.multiplicity);
+        let workload = Arc::new(Workload::new(tasks, config)?);
+        let mut owned = vec![(0u64, 0u64); serve.shards];
+        for g in workload.groups() {
+            for id in g.first_id.0..g.first_id.0 + g.count {
+                let cell = &mut owned[shard_of(id, serve.shards)];
+                cell.0 += 1;
+                cell.1 += u64::from(g.multiplicity);
             }
         }
-        let total_tasks = expected - base_id;
-        let groups: std::sync::Arc<[SpecGroup]> = groups.into();
+        let total = workload.total_tasks() as usize;
+        // SAFETY: an all-zero bit pattern is a valid `AtomicU32` (it has
+        // the in-memory representation of `u32`).
+        let slots = unsafe { Box::<[AtomicU32]>::new_zeroed_slice(total).assume_init() };
         let seq = SeedSequence::new(seed);
-        let shards: Vec<Mutex<ShardStore>> = (0..serve.shards)
-            .map(|s| {
-                let mut outcome = CampaignOutcome::default();
-                if s == 0 {
-                    // The session is one campaign; the counter lives on
-                    // shard 0 and surfaces through the merged outcome.
-                    outcome.campaigns = 1;
+        let shards = owned
+            .into_iter()
+            .enumerate()
+            .map(|(s, owned)| {
+                // The session is one campaign; the counter lives on shard
+                // 0 and surfaces through the merged outcome.
+                let campaigns = u64::from(s == 0);
+                let owner = Owner::Shard {
+                    index: s,
+                    of: serve.shards,
+                };
+                Shard {
+                    locked: Mutex::new(Locked {
+                        store: ShardStore::new(
+                            Arc::clone(&workload),
+                            serve,
+                            owner,
+                            owned,
+                            campaigns,
+                        ),
+                        rng: DeterministicRng::new(seq.derive(s as u64)),
+                    }),
+                    timeouts: AtomicU64::new(0),
+                    lost: AtomicU64::new(0),
                 }
-                Mutex::new(ShardStore {
-                    shard: s as u64,
-                    nshards,
-                    config: *config,
-                    supervisor: Supervisor::new(config.policy),
-                    timeout: serve.faults.timeout,
-                    max_retries: serve.faults.max_retries,
-                    rng: DeterministicRng::new(seq.derive(s as u64)),
-                    binomial: BinomialCache::default(),
-                    hypergeometric: HypergeometricCache::default(),
-                    groups: groups.clone(),
-                    group_cursor: 0,
-                    group_offset: 0,
-                    active: None,
-                    tasks: Vec::new(),
-                    requeue: VecDeque::new(),
-                    inflight: VecDeque::new(),
-                    now: 0,
-                    issued: 0,
-                    returned: 0,
-                    in_flight_count: 0,
-                    lost: 0,
-                    activated_tasks: 0,
-                    completed_tasks: 0,
-                    owned_tasks: owned_tasks[s],
-                    owned_copies: owned_copies[s],
-                    outcome,
-                    results_buf: Vec::new(),
-                })
             })
             .collect();
         Ok(ConcurrentStore {
             shards,
+            slots,
             router: AtomicUsize::new(0),
-            base_id,
-            total_tasks,
-            total_copies,
+            workload,
             seed,
         })
     }
 
-    fn lock(&self, s: usize) -> MutexGuard<'_, ShardStore> {
-        self.shards[s].lock().expect("shard lock poisoned")
+    fn lock(&self, s: usize) -> MutexGuard<'_, Locked> {
+        self.shards[s].locked.lock().expect("shard lock poisoned")
     }
 
     /// Number of hash shards (= number of RNG streams and locks).
@@ -562,15 +199,34 @@ impl ConcurrentStore {
 
     /// Copies in the full workload (sum of multiplicities).
     pub fn total_copies(&self) -> u64 {
-        self.total_copies
+        self.workload.total_copies()
     }
 
     /// True once every task on every shard has been judged.
     pub fn is_drained(&self) -> bool {
-        self.shards.iter().enumerate().all(|(s, _)| {
-            let g = self.lock(s);
-            g.is_drained()
-        })
+        (0..self.shards.len()).all(|s| self.lock(s).store.is_drained())
+    }
+
+    /// Issue from shard `s`, recording a newly activated task's slot and
+    /// publishing the shard's expiry counters before the lock is
+    /// released.
+    fn request_from(&self, s: usize) -> Issue {
+        let shard = &self.shards[s];
+        let mut g = shard.locked.lock().expect("shard lock poisoned");
+        let Locked { store, rng } = &mut *g;
+        let rank = store.activated();
+        let issue = store.request_work(rng);
+        if store.activated() > rank {
+            let index = self
+                .workload
+                .index_of(TaskId(store.activated_id(rank)))
+                .expect("activated task is in the workload");
+            self.slots[index].store(rank as u32 + 1, Ordering::Relaxed);
+        }
+        let (timeouts, lost) = store.expiry_counters();
+        shard.timeouts.store(timeouts, Ordering::Relaxed);
+        shard.lost.store(lost, Ordering::Relaxed);
+        issue
     }
 
     /// Hand out the next copy of work, scanning shards round-robin from
@@ -585,8 +241,7 @@ impl ConcurrentStore {
         let start = self.router.fetch_add(1, Ordering::Relaxed) % n;
         let mut any_idle = false;
         for k in 0..n {
-            let s = (start + k) % n;
-            match self.lock(s).request_work() {
+            match self.request_from((start + k) % n) {
                 Issue::Work(a) => return Issue::Work(a),
                 Issue::Idle => any_idle = true,
                 Issue::Drained => {}
@@ -602,16 +257,16 @@ impl ConcurrentStore {
     /// Accept the return of one in-flight copy, locking only the owning
     /// shard.
     pub fn return_result(&self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        if task
-            .0
-            .checked_sub(self.base_id)
-            .filter(|&i| i < self.total_tasks)
-            .is_none()
-        {
-            return Err(ServeError::UnknownTask(task));
+        let index = self
+            .workload
+            .index_of(task)
+            .ok_or(ServeError::UnknownTask(task))?;
+        let mut g = self.lock(shard_of(task.0, self.shards.len()));
+        match self.slots[index].load(Ordering::Relaxed) {
+            // Owned by this shard but never activated: nothing issued yet.
+            0 => Err(ServeError::NotInFlight { task, copy }),
+            slot => g.store.return_result(slot as usize - 1, task, copy),
         }
-        let s = (shard_hash(task.0) % self.shards.len() as u64) as usize;
-        self.lock(s).return_result(task, copy)
     }
 
     /// The live session snapshot: the field-wise sum of the per-shard
@@ -642,7 +297,7 @@ impl ConcurrentStore {
     /// Each shard's own stats cell, scoped to the slice it owns.
     pub fn per_shard_stats(&self) -> Vec<ServeStats> {
         (0..self.shards.len())
-            .map(|s| self.lock(s).stats())
+            .map(|s| self.lock(s).store.stats())
             .collect()
     }
 
@@ -650,7 +305,7 @@ impl ConcurrentStore {
     pub fn merged_outcome(&self) -> CampaignOutcome {
         let mut out = CampaignOutcome::default();
         for s in 0..self.shards.len() {
-            out.merge(&self.lock(s).outcome);
+            out.merge(self.lock(s).store.outcome());
         }
         out
     }
@@ -679,16 +334,16 @@ impl ConcurrentStore {
         h
     }
 
-    /// Running `(timeouts, lost)` totals summed over the shard cells.
+    /// Running `(timeouts, lost)` totals summed over the shards.  Reads
+    /// the counters each shard publishes as it issues, so no shard lock
+    /// is taken.
     pub fn expiry_counters(&self) -> (u64, u64) {
-        let mut timeouts = 0u64;
-        let mut lost = 0u64;
-        for s in 0..self.shards.len() {
-            let g = self.lock(s);
-            timeouts += g.outcome.timeouts;
-            lost += g.lost;
-        }
-        (timeouts, lost)
+        self.shards.iter().fold((0, 0), |(t, l), s| {
+            (
+                t + s.timeouts.load(Ordering::Relaxed),
+                l + s.lost.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Revert every shard's in-flight copies to pending (shard 0 first,
@@ -697,7 +352,16 @@ impl ConcurrentStore {
     /// for the recovery contract.
     pub fn reset_in_flight(&self) -> u64 {
         (0..self.shards.len())
-            .map(|s| self.lock(s).reset_in_flight())
+            .map(|s| self.lock(s).store.reset_in_flight())
+            .sum()
+    }
+
+    /// Records in every shard's in-flight queue, stale ones included.
+    /// Stays within twice the copies in flight plus a small constant per
+    /// shard, whatever the timeout.
+    pub fn inflight_records(&self) -> usize {
+        (0..self.shards.len())
+            .map(|s| self.lock(s).store.inflight_records())
             .sum()
     }
 
@@ -731,7 +395,16 @@ impl ConcurrentStore {
     /// this one on merged outcome, per-shard final RNGs, and stats.
     pub fn drain_shard_by_shard(&self) {
         for s in 0..self.shards.len() {
-            self.lock(s).drain();
+            loop {
+                match self.request_from(s) {
+                    Issue::Work(a) => {
+                        self.return_result(a.task, a.copy)
+                            .expect("drain returned an issued copy");
+                    }
+                    Issue::Idle => unreachable!("immediate returns leave nothing in flight"),
+                    Issue::Drained => break,
+                }
+            }
         }
     }
 
@@ -741,14 +414,43 @@ impl ConcurrentStore {
     pub fn check_invariants(&self) {
         let mut owned = 0u64;
         let mut copies = 0u64;
+        let mut expiry = (0, 0);
         for s in 0..self.shards.len() {
             let g = self.lock(s);
-            g.check_invariants();
-            owned += g.owned_tasks;
-            copies += g.owned_copies;
+            g.store.check_invariants();
+            for rank in 0..g.store.activated() {
+                let id = g.store.activated_id(rank);
+                let index = self
+                    .workload
+                    .index_of(TaskId(id))
+                    .expect("task in workload");
+                assert_eq!(
+                    self.slots[index].load(Ordering::Relaxed) as usize,
+                    rank + 1,
+                    "task {id} routes to the wrong slot"
+                );
+            }
+            let cell = g.store.stats();
+            owned += cell.total_tasks;
+            copies += cell.total_copies;
+            expiry.0 += cell.timeouts;
+            expiry.1 += cell.lost;
         }
-        assert_eq!(owned, self.total_tasks, "shard ownership does not tile");
-        assert_eq!(copies, self.total_copies, "shard copies do not tile");
+        assert_eq!(
+            owned,
+            self.workload.total_tasks(),
+            "shard ownership does not tile"
+        );
+        assert_eq!(
+            copies,
+            self.workload.total_copies(),
+            "shard copies do not tile"
+        );
+        assert_eq!(
+            self.expiry_counters(),
+            expiry,
+            "expiry counters unpublished"
+        );
     }
 }
 

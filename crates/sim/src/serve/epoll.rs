@@ -13,11 +13,21 @@
 //! Per connection the loop owns a read buffer (frames are parsed greedily
 //! out of it, zero-copy) and a write buffer (replies are queued and
 //! flushed as the socket drains, with `EPOLLOUT` interest registered only
-//! while bytes are pending) — the same session-owned-buffer discipline as
-//! the PR 8 protocol hot path.  Malformed input earns the same structured
-//! `err` frames as [`serve_connection`](super::serve_connection): a
-//! truncated frame or an oversized prefix answers `err` and closes after
-//! the flush; invalid UTF-8 answers `err` and the session continues.
+//! while bytes are pending).  Each readiness report costs one `read`,
+//! straight into the read buffer: a read that returns less than it was
+//! offered means the socket is drained, and level-triggered epoll reports
+//! whatever arrives after it.  Connections are indexed by descriptor, not
+//! hashed.  Malformed input earns the same structured `err` frames as
+//! [`serve_connection`](super::serve_connection): a truncated frame or an
+//! oversized prefix answers `err` and closes after the flush; invalid
+//! UTF-8 answers `err` and the session continues.
+//!
+//! A failed `accept` never ends the loop unless the listener itself is
+//! broken.  A connection that failed before it was accepted (for example
+//! `ECONNABORTED`) is skipped.  When descriptors or memory run out
+//! (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`), the listener leaves the
+//! interest set until a connection closes or 100 ms pass, so the loop
+//! neither spins nor stops serving the connections it has.
 //!
 //! Two run modes, chosen by [`LoopOptions::expected_clients`]:
 //!
@@ -72,10 +82,10 @@ pub use linux::serve_readiness_loop;
 mod linux {
     use super::LoopOptions;
     use crate::serve::protocol::{write_frame, MAX_FRAME};
-    use std::collections::HashMap;
     use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, RawFd};
+    use std::time::{Duration, Instant};
 
     // The kernel ABI, declared directly: x86-64 packs epoll_event to
     // match the 32-bit layout, other architectures use natural alignment.
@@ -103,6 +113,32 @@ mod linux {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+
+    // errno values (the asm-generic numbering x86-64 and aarch64 share).
+    const EPERM: i32 = 1;
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOSPC: i32 = 28;
+    const ENONET: i32 = 64;
+    const EPROTO: i32 = 71;
+    const ENOPROTOOPT: i32 = 92;
+    const EOPNOTSUPP: i32 = 95;
+    const ENETDOWN: i32 = 100;
+    const ENETUNREACH: i32 = 101;
+    const ECONNABORTED: i32 = 103;
+    const ENOBUFS: i32 = 105;
+    const EHOSTDOWN: i32 = 112;
+    const EHOSTUNREACH: i32 = 113;
+
+    /// How long a loop that stopped accepting for want of descriptors
+    /// waits for a connection to close before it tries again anyway.
+    const ACCEPT_RETRY: Duration = Duration::from_millis(100);
+
+    /// A connection's read buffer holds at least two maximal frames, so
+    /// after the unparsed tail (always less than one frame) is moved to
+    /// the front there is room for a whole frame more.
+    const INBUF_LEN: usize = 2 * (4 + MAX_FRAME);
 
     /// RAII wrapper over one epoll instance.
     struct Epoll {
@@ -144,13 +180,20 @@ mod linux {
             self.ctl(EPOLL_CTL_DEL, fd, 0)
         }
 
-        /// Block until at least one fd is ready; retries EINTR.
-        fn wait(&self, events: &mut [EpollEvent]) -> io::Result<usize> {
+        /// Block until at least one fd is ready or `timeout_ms` passes
+        /// (-1: no timeout); retries EINTR.
+        fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
             loop {
                 // SAFETY: the buffer is valid for `len` entries for the
                 // duration of the call.
-                let rc =
-                    unsafe { epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, -1) };
+                let rc = unsafe {
+                    epoll_wait(
+                        self.fd,
+                        events.as_mut_ptr(),
+                        events.len() as i32,
+                        timeout_ms,
+                    )
+                };
                 if rc >= 0 {
                     return Ok(rc as usize);
                 }
@@ -169,12 +212,44 @@ mod linux {
         }
     }
 
+    /// True for errors that mean the process or system ran out of
+    /// descriptors or memory, rather than that one connection failed.
+    fn exhausted(e: &io::Error) -> bool {
+        matches!(
+            e.raw_os_error(),
+            Some(EMFILE | ENFILE | ENOBUFS | ENOMEM | ENOSPC)
+        )
+    }
+
+    /// True for the errors Linux's accept() reports on behalf of the
+    /// pending connection itself (accept(2) lists them): that connection
+    /// is gone, the listener is fine.
+    fn connection_failed(e: &io::Error) -> bool {
+        matches!(
+            e.raw_os_error(),
+            Some(
+                ECONNABORTED
+                    | EPROTO
+                    | EPERM
+                    | ENETDOWN
+                    | ENOPROTOOPT
+                    | EHOSTDOWN
+                    | ENONET
+                    | EHOSTUNREACH
+                    | EOPNOTSUPP
+                    | ENETUNREACH
+            )
+        )
+    }
+
     /// One connection's state: the socket plus its session-owned frame
-    /// buffers.  `inbuf` accumulates raw bytes until complete frames can
-    /// be parsed out; `outbuf`/`outpos` hold replies awaiting flush.
+    /// buffers.  `inbuf[start..end]` holds received bytes not yet parsed;
+    /// `outbuf[outpos..]` holds replies awaiting flush.
     struct Conn {
         stream: TcpStream,
-        inbuf: Vec<u8>,
+        inbuf: Box<[u8]>,
+        start: usize,
+        end: usize,
         outbuf: Vec<u8>,
         outpos: usize,
         /// Stop reading; close once the write buffer drains (set after a
@@ -188,12 +263,72 @@ mod linux {
         fn new(stream: TcpStream) -> Conn {
             Conn {
                 stream,
-                inbuf: Vec::new(),
+                inbuf: vec![0; INBUF_LEN].into_boxed_slice(),
+                start: 0,
+                end: 0,
                 outbuf: Vec::new(),
                 outpos: 0,
                 closing: false,
                 interest: EPOLLIN | EPOLLRDHUP,
             }
+        }
+
+        /// Move the unparsed tail to the front, then read once into the
+        /// free space; returns what the read returned and how much space
+        /// it was offered.
+        fn read_once(&mut self) -> io::Result<(usize, usize)> {
+            self.inbuf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let space = self.inbuf.len() - self.end;
+            loop {
+                match self.stream.read(&mut self.inbuf[self.end..]) {
+                    Ok(n) => {
+                        self.end += n;
+                        return Ok((n, space));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+
+        /// Answer every complete frame in the read buffer through
+        /// `handle`; returns true if one of them was `shutdown`.
+        fn answer_frames(
+            &mut self,
+            reply: &mut String,
+            handle: &mut impl FnMut(&str, &mut String) -> bool,
+        ) -> bool {
+            let mut shutdown = false;
+            while !self.closing {
+                let pending = &self.inbuf[self.start..self.end];
+                let Some(prefix) = pending.first_chunk::<4>() else {
+                    break;
+                };
+                let len = u32::from_be_bytes(*prefix);
+                if len as usize > MAX_FRAME {
+                    self.queue_reply(&format!("err oversize-frame {len} exceeds {MAX_FRAME}"));
+                    self.closing = true;
+                    self.start = self.end;
+                    break;
+                }
+                let Some(payload) = pending.get(4..4 + len as usize) else {
+                    break;
+                };
+                self.start += 4 + len as usize;
+                match std::str::from_utf8(payload) {
+                    Err(_) => self.queue_reply("err invalid-utf8"),
+                    Ok(text) => {
+                        if handle(text, reply) {
+                            shutdown = true;
+                            self.closing = true;
+                        }
+                        write_frame(&mut self.outbuf, reply).expect("writing to a Vec cannot fail");
+                    }
+                }
+            }
+            shutdown
         }
 
         fn queue_reply(&mut self, payload: &str) {
@@ -229,30 +364,16 @@ mod linux {
         }
     }
 
-    /// One frame parsed out of a connection's read buffer.
-    enum Parsed {
-        /// `inbuf[range]` holds a complete payload.
-        Frame(std::ops::Range<usize>),
-        /// Not enough bytes yet.
-        NeedMore,
-        /// The prefix declared more than `MAX_FRAME` bytes.
-        Oversize(u32),
-    }
-
-    fn parse_frame(inbuf: &[u8], at: usize) -> Parsed {
-        let Some(prefix) = inbuf.get(at..at + 4) else {
-            return Parsed::NeedMore;
-        };
-        let len = u32::from_be_bytes(prefix.try_into().expect("4-byte slice"));
-        if len as usize > MAX_FRAME {
-            return Parsed::Oversize(len);
-        }
-        let start = at + 4;
-        let end = start + len as usize;
-        if inbuf.len() < end {
-            return Parsed::NeedMore;
-        }
-        Parsed::Frame(start..end)
+    /// The listener's place in the loop.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Accepting {
+        /// Registered with epoll; new connections are accepted.
+        Open,
+        /// Out of descriptors since the given instant: unregistered until
+        /// a connection closes or [`ACCEPT_RETRY`] passes.
+        Paused(Instant),
+        /// Done accepting for good (drive-mode quota met, or shutdown).
+        Closed,
     }
 
     /// Run the readiness loop on `listener`.  See the module docs for the
@@ -266,136 +387,152 @@ mod linux {
         let ep = Epoll::new()?;
         let lfd = listener.as_raw_fd();
         ep.add(lfd, EPOLLIN)?;
-        let mut conns: HashMap<RawFd, Conn> = HashMap::new();
+        // Connections indexed by fd: descriptors are small and dense.
+        let mut conns: Vec<Option<Conn>> = Vec::new();
+        let mut open = 0usize;
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 64];
         let mut reply = String::new();
         let mut accepted = 0usize;
-        let mut accepting = true;
+        let mut accepting = Accepting::Open;
         let mut shutting_down = false;
         loop {
             let done = match opts.expected_clients {
-                Some(n) => accepted >= n && conns.is_empty(),
-                None => shutting_down && conns.is_empty(),
+                Some(n) => accepted >= n && open == 0,
+                None => shutting_down && open == 0,
             };
             if done {
                 return Ok(());
             }
-            let ready = ep.wait(&mut events)?;
+            let timeout = match accepting {
+                Accepting::Paused(since) => {
+                    ACCEPT_RETRY.saturating_sub(since.elapsed()).as_millis() as i32
+                }
+                _ => -1,
+            };
+            let ready = ep.wait(&mut events, timeout)?;
+            if let Accepting::Paused(since) = accepting {
+                if since.elapsed() >= ACCEPT_RETRY {
+                    ep.add(lfd, EPOLLIN)?;
+                    accepting = Accepting::Open;
+                }
+            }
+            let mut closed_any = false;
             for ev in &events[..ready] {
                 // Copy out of the (possibly packed) event before use.
                 let mask = ev.events;
                 let fd = ev.data as RawFd;
                 if fd == lfd {
-                    while accepting {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                stream.set_nonblocking(true)?;
-                                let _ = stream.set_nodelay(true);
-                                let cfd = stream.as_raw_fd();
-                                let conn = Conn::new(stream);
-                                ep.add(cfd, conn.interest)?;
-                                conns.insert(cfd, conn);
-                                accepted += 1;
-                                if opts.expected_clients == Some(accepted) {
-                                    accepting = false;
-                                    ep.delete(lfd)?;
-                                }
-                            }
+                    while accepting == Accepting::Open {
+                        let stream = match listener.accept() {
+                            Ok((stream, _)) => stream,
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                            Err(e) if exhausted(&e) => {
+                                ep.delete(lfd)?;
+                                accepting = Accepting::Paused(Instant::now());
+                                break;
+                            }
+                            Err(e) if connection_failed(&e) => continue,
                             Err(e) => return Err(e),
+                        };
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        let _ = stream.set_nodelay(true);
+                        let cfd = stream.as_raw_fd();
+                        let conn = Conn::new(stream);
+                        if let Err(e) = ep.add(cfd, conn.interest) {
+                            if exhausted(&e) {
+                                ep.delete(lfd)?;
+                                accepting = Accepting::Paused(Instant::now());
+                            }
+                            continue;
+                        }
+                        let slot = cfd as usize;
+                        if conns.len() <= slot {
+                            conns.resize_with(slot + 1, || None);
+                        }
+                        conns[slot] = Some(conn);
+                        open += 1;
+                        accepted += 1;
+                        if opts.expected_clients == Some(accepted) {
+                            accepting = Accepting::Closed;
+                            ep.delete(lfd)?;
                         }
                     }
                     continue;
                 }
-                let Some(conn) = conns.get_mut(&fd) else {
+                let Some(conn) = conns.get_mut(fd as usize).and_then(Option::as_mut) else {
                     continue;
                 };
                 let mut abandon = false;
                 if mask & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 && !conn.closing {
-                    let mut eof = false;
-                    let mut scratch = [0u8; 4096];
+                    // One read per readiness report: a short read means
+                    // the socket is drained, and level-triggered epoll
+                    // reports whatever arrives after it.
                     loop {
-                        match conn.stream.read(&mut scratch) {
-                            Ok(0) => {
-                                eof = true;
+                        match conn.read_once() {
+                            Ok((0, _)) => {
+                                if conn.start < conn.end {
+                                    // The stream ended mid-prefix or
+                                    // mid-payload.
+                                    conn.queue_reply("err truncated-frame");
+                                }
+                                conn.closing = true;
                                 break;
                             }
-                            Ok(n) => conn.inbuf.extend_from_slice(&scratch[..n]),
+                            Ok((n, space)) => {
+                                if conn.answer_frames(&mut reply, &mut handle)
+                                    && opts.expected_clients.is_none()
+                                {
+                                    shutting_down = true;
+                                    if accepting == Accepting::Open {
+                                        ep.delete(lfd)?;
+                                    }
+                                    accepting = Accepting::Closed;
+                                }
+                                if n < space || conn.closing {
+                                    break;
+                                }
+                            }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                             Err(_) => {
                                 abandon = true;
                                 break;
                             }
                         }
                     }
-                    if !abandon {
-                        // Greedily parse and answer every complete frame.
-                        let mut at = 0usize;
-                        while !conn.closing {
-                            match parse_frame(&conn.inbuf, at) {
-                                Parsed::NeedMore => break,
-                                Parsed::Oversize(len) => {
-                                    conn.queue_reply(&format!(
-                                        "err oversize-frame {len} exceeds {MAX_FRAME}"
-                                    ));
-                                    conn.closing = true;
-                                    at = conn.inbuf.len();
-                                }
-                                Parsed::Frame(range) => {
-                                    at = range.end;
-                                    match std::str::from_utf8(&conn.inbuf[range]) {
-                                        Err(_) => conn.queue_reply("err invalid-utf8"),
-                                        Ok(text) => {
-                                            let shutdown = handle(text, &mut reply);
-                                            conn.queue_reply(&reply);
-                                            if shutdown {
-                                                conn.closing = true;
-                                                if opts.expected_clients.is_none() {
-                                                    shutting_down = true;
-                                                    if accepting {
-                                                        accepting = false;
-                                                        ep.delete(lfd)?;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        conn.inbuf.drain(..at);
-                        if eof && !conn.closing {
-                            if !conn.inbuf.is_empty() {
-                                // The stream ended mid-prefix or
-                                // mid-payload.
-                                conn.queue_reply("err truncated-frame");
-                            }
-                            conn.closing = true;
-                        }
-                    }
                 }
                 if !abandon && conn.flush().is_err() {
                     abandon = true;
                 }
-                if abandon || (conn.closing && !conn.has_pending_output()) {
-                    // Dropping the stream closes the fd, which also
-                    // removes it from the epoll interest set.
-                    conns.remove(&fd);
-                    continue;
-                }
-                let mut want = 0u32;
-                if !conn.closing {
-                    want |= EPOLLIN | EPOLLRDHUP;
-                }
-                if conn.has_pending_output() {
-                    want |= EPOLLOUT;
-                }
-                if want != conn.interest {
+                let finished = conn.closing && !conn.has_pending_output();
+                if !abandon && !finished {
+                    let mut want = 0u32;
+                    if !conn.closing {
+                        want |= EPOLLIN | EPOLLRDHUP;
+                    }
+                    if conn.has_pending_output() {
+                        want |= EPOLLOUT;
+                    }
+                    if want == conn.interest {
+                        continue;
+                    }
                     conn.interest = want;
-                    ep.modify(fd, want)?;
+                    if ep.modify(fd, want).is_ok() {
+                        continue;
+                    }
+                    // A connection epoll cannot track is abandoned.
                 }
+                // Dropping the stream closes the fd, which also removes
+                // it from the epoll interest set.
+                conns[fd as usize] = None;
+                open -= 1;
+                closed_any = true;
+            }
+            if closed_any && matches!(accepting, Accepting::Paused(_)) {
+                ep.add(lfd, EPOLLIN)?;
+                accepting = Accepting::Open;
             }
         }
     }

@@ -15,16 +15,19 @@
 //!   RNG, centralized dispatch.  A drained session reproduces the batch
 //!   kernel **bit for bit** — same
 //!   [`CampaignOutcome`](crate::CampaignOutcome), same final RNG state —
-//!   at any shard count and under any client interleaving.  This is the
+//!   under any client interleaving.  This is the
 //!   bit-compat oracle the `ext_serve` snapshots pin; clients serialize
 //!   on one lock.
 //! * [`concurrent`] — the **per-shard-stream** [`ConcurrentStore`]: each
-//!   shard owns its own lock, free-list, sampler caches, stats cell, and
-//!   a `SeedSequence::derive(shard)` RNG stream, so clients on different
+//!   shard owns its own lock, free-list, task arena, stats cell, and a
+//!   `SeedSequence::derive(shard)` RNG stream, so clients on different
 //!   shards proceed in parallel.  A drained store's merged outcome,
 //!   per-shard final RNGs, and stats are byte-identical across any
 //!   client count and request schedule at a fixed shard count; the
 //!   matching oracle drains shard-by-shard.
+//!
+//! Both run the same shard state machine over a flat task arena: one
+//! machine over the whole workload, or one per shard.
 //!
 //! [`epoll`] supplies the Linux readiness-loop transport both TCP serve
 //! modes run on (with the threaded loop kept as the portable fallback),
@@ -36,6 +39,7 @@ pub mod concurrent;
 pub mod epoll;
 pub mod journal;
 pub mod protocol;
+mod shard;
 pub mod store;
 
 pub use concurrent::{ConcurrentStore, StreamMode};

@@ -16,6 +16,30 @@
 //! and the session ends (the stream cannot be resynchronized).  A clean
 //! EOF before a length prefix ends the session silently.
 //!
+//! # Request grammar
+//!
+//! A request is a sequence of words separated by whitespace, where
+//! whitespace is every character [`char::is_whitespace`] accepts: the
+//! ASCII space, `\t`, `\n`, `\x0B`, `\x0C` and `\r`, and the Unicode
+//! `White_Space` characters beyond ASCII such as U+00A0 and U+3000.
+//! Leading, trailing and repeated whitespace is ignored, so a request
+//! splits exactly as [`str::split_whitespace`] splits it.
+//!
+//! * The first word is the verb, matched case-sensitively.  An empty
+//!   request answers `err unknown-verb`; any other verb answers
+//!   `err unknown-verb <verb>`.
+//! * `request-work`, `stats` and `shutdown` ignore any further words.
+//! * `return-result` takes exactly two more words, `<task>` (a `u64`) and
+//!   `<copy>` (a `u32`), parsed by `str::parse`: an optional `+`
+//!   followed by one or more ASCII digits, leading zeros allowed.  A
+//!   missing or extra word, a `-` sign, any other character, or a value
+//!   that overflows its type answers
+//!   `err bad-request return-result expects <task> <copy>`.
+//!
+//! Replies are built by [`handle_request`], the one place every transport
+//! formats them: a `work` reply is three decimal integers without leading
+//! zeros.
+//!
 //! The transport is generic over [`Read`]/[`Write`], so the same loop
 //! serves stdio (deterministic, byte-fixture-testable), in-memory buffers
 //! (the integration tests), and per-connection TCP sockets (the CLI).
@@ -146,53 +170,102 @@ pub enum SessionEnd {
 /// per-shard-stream [`&ConcurrentStore`](super::ConcurrentStore), or a
 /// journaling wrapper over either — can sit behind it, and this is the
 /// *only* place request text is parsed and reply text is formatted, so
-/// the store flavors cannot drift byte-wise.  The reply bytes for every
-/// verb are pinned by the protocol tests and the golden snapshots.
+/// the store flavors and the transports cannot drift byte-wise.  The
+/// grammar is in the module docs; the reply bytes for every verb are
+/// pinned by the protocol tests and the golden snapshots.
 pub fn handle_request<S: WorkStore>(src: &mut S, request: &str, reply: &mut String) -> bool {
-    use std::fmt::Write as _;
     reply.clear();
-    let mut shutdown = false;
-    let mut parts = request.split_whitespace();
-    match parts.next() {
+    if request.is_ascii() {
+        dispatch(src, AsciiWords(request), reply)
+    } else {
+        // Unicode whitespace can only occur in a non-ASCII line.
+        dispatch(src, request.split_whitespace(), reply)
+    }
+}
+
+/// Answer one tokenized request.
+fn dispatch<'a, S: WorkStore>(
+    src: &mut S,
+    mut words: impl Iterator<Item = &'a str>,
+    reply: &mut String,
+) -> bool {
+    use std::fmt::Write as _;
+    match words.next() {
         Some("request-work") => match src.request_work() {
             Issue::Work(a) => {
-                let _ = write!(reply, "work {} {} {}", a.task.0, a.copy, a.multiplicity);
+                reply.push_str("work ");
+                push_decimal(reply, a.task.0);
+                reply.push(' ');
+                push_decimal(reply, u64::from(a.copy));
+                reply.push(' ');
+                push_decimal(reply, u64::from(a.multiplicity));
             }
             Issue::Idle => reply.push_str("idle"),
             Issue::Drained => reply.push_str("drained"),
         },
         Some("return-result") => {
-            if let (Some(task), Some(copy), None) = (
-                parts.next().and_then(|t| t.parse::<u64>().ok()),
-                parts.next().and_then(|c| c.parse::<u32>().ok()),
-                parts.next(),
-            ) {
-                match src.return_result(TaskId(task), copy) {
+            let task = words.next().and_then(|t| t.parse::<u64>().ok());
+            let copy = words.next().and_then(|c| c.parse::<u32>().ok());
+            match (task, copy, words.next()) {
+                (Some(task), Some(copy), None) => match src.return_result(TaskId(task), copy) {
                     Ok(ack) if ack.task_complete => reply.push_str("ok complete"),
                     Ok(_) => reply.push_str("ok"),
                     Err(e) => {
                         let _ = write!(reply, "err {} {e}", e.code());
                     }
-                }
-            } else {
-                reply.push_str("err bad-request return-result expects <task> <copy>");
+                },
+                _ => reply.push_str("err bad-request return-result expects <task> <copy>"),
             }
         }
-        Some("stats") => {
-            let stats = src.stats().render();
-            reply.push_str(&stats);
-        }
+        Some("stats") => reply.push_str(&src.stats().render()),
         Some("shutdown") => {
             src.note_shutdown();
             reply.push_str("bye");
-            shutdown = true;
+            return true;
         }
         Some(verb) => {
             let _ = write!(reply, "err unknown-verb {verb}");
         }
         None => reply.push_str("err unknown-verb"),
     }
-    shutdown
+    false
+}
+
+/// The words of an ASCII line, split on the ASCII characters
+/// [`char::is_whitespace`] accepts — exactly what `split_whitespace`
+/// yields for such a line, without decoding chars.
+struct AsciiWords<'a>(&'a str);
+
+impl<'a> Iterator for AsciiWords<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let is_space = |b: &u8| matches!(b, b' ' | b'\t'..=b'\r');
+        let bytes = self.0.as_bytes();
+        let start = bytes.iter().position(|b| !is_space(b))?;
+        let end = bytes[start..]
+            .iter()
+            .position(is_space)
+            .map_or(bytes.len(), |n| start + n);
+        let word = &self.0[start..end];
+        self.0 = &self.0[end..];
+        Some(word)
+    }
+}
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// A single-client session: the store plus the session RNG, with requests

@@ -1,4 +1,5 @@
-//! The sharded in-memory assignment store behind `redundancy serve`.
+//! The single-stream assignment store behind `redundancy serve`, and the
+//! types every serve store shares.
 //!
 //! The store turns the batch campaign kernel inside out: instead of one
 //! loop that draws, materializes, and judges every task, tasks are
@@ -7,46 +8,43 @@
 //! [`FaultModel`] retry policy), and a task is judged the moment its last
 //! copy returns or is abandoned.  The Balanced/S_m multiplicity mix is
 //! maintained incrementally: the activation cursor walks the
-//! [`grouped_specs`] runs in task-id order, so the multiset of
-//! multiplicities handed out is — at every moment — a prefix of the exact
-//! mix the batch kernel would deal.
+//! [`grouped_specs`](crate::task::grouped_specs) runs in task-id order,
+//! so the multiset of multiplicities handed out is — at every moment — a
+//! prefix of the exact mix the batch kernel would deal.
 //!
 //! # Bit-identity with the batch kernel
 //!
 //! Activation consumes the session RNG in *exactly* the order
 //! [`run_campaign_with_scratch`](crate::engine::run_campaign_with_scratch)
-//! does: one holdings draw per task through the shared
-//! [`prepare_holdings`] sampler caches, then (only when
-//! `honest_error_rate > 0`) the honest copies' fault draws.  Returns and
-//! judging consume no randomness, and every [`CampaignOutcome`] counter is
-//! a commutative sum, so a *drained* session — every copy returned, no
-//! timeouts — produces an outcome and a final RNG state bit-identical to
-//! the batch kernel on the same tasks, config, and seed, regardless of
-//! shard count or the interleaving of client requests.  The `ext_serve`
-//! exhibit and the serve proptests pin this end to end.
+//! does: one holdings draw per task through a bit-compat sampler plan,
+//! then (only when `honest_error_rate > 0`) the honest copies' fault
+//! draws.  Returns and judging consume no randomness, and every
+//! [`CampaignOutcome`] counter is a commutative sum, so a *drained*
+//! session — every copy returned, no timeouts — produces an outcome and a
+//! final RNG state bit-identical to the batch kernel on the same tasks,
+//! config, and seed, regardless of the interleaving of client requests.
+//! The `ext_serve` exhibit and the serve proptests pin this end to end.
 //!
-//! # Sharding
+//! # Storage
 //!
-//! Task state lives in one of `shards` sub-stores selected by an FNV-1a
-//! hash of the task id; each shard owns its slice of task state *and* its
-//! own partial [`CampaignOutcome`], merged only when queried.  Dispatch
-//! order (and therefore RNG order) is centralized in the activation
-//! cursor, which is why the shard count cannot perturb outcomes.
+//! The store is one shard state machine (`serve::shard`, the one the
+//! per-shard store runs per shard) over the whole workload: dispatch
+//! order (and therefore RNG order) is one activation cursor, and task
+//! state lives in that machine's flat arena, where a task's slot is its
+//! index in the workload.  The configured shard count is kept for the
+//! journal header and the reports; it cannot perturb outcomes.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
-use crate::engine::{judge_task, prepare_holdings, CampaignConfig};
+use super::shard::{Owner, ShardStore, Workload};
+use crate::engine::CampaignConfig;
 use crate::experiment::{DetectionEstimate, ExperimentConfig};
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::supervisor::Supervisor;
-use crate::task::{
-    colluded_wrong_result, correct_result, expand_plan, faulty_result, grouped_specs, ResultValue,
-    SpecGroup, TaskId, TaskSpec,
-};
+use crate::task::{expand_plan, TaskId, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
-use redundancy_stats::{BinomialCache, DeterministicRng, HypergeometricCache};
+use redundancy_stats::DeterministicRng;
 
 /// Configuration of the live store beyond the campaign itself.
 ///
@@ -56,7 +54,9 @@ use redundancy_stats::{BinomialCache, DeterministicRng, HypergeometricCache};
 /// behavior, not the store's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Number of hash shards task state is spread over (must be ≥ 1).
+    /// Number of shards (must be ≥ 1).  The per-shard-stream store spreads
+    /// task state and RNG streams over them; the single-stream store only
+    /// records the count.
     pub shards: usize,
     /// Retry policy for in-flight copies: a copy outstanding for more than
     /// `faults.timeout` ticks (one tick per `request-work`) is re-queued,
@@ -65,7 +65,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// `shards` hash shards with the default (fault-free) retry policy.
+    /// `shards` shards with the default (fault-free) retry policy.
     pub fn new(shards: usize) -> Self {
         ServeConfig {
             shards,
@@ -299,187 +299,13 @@ impl ServeStats {
     }
 }
 
-/// State of one copy of one activated task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CopyState {
-    /// Not currently issued: never dealt, or re-queued after a timeout.
-    Pending,
-    /// Handed to a client; `attempt` counts prior re-issues.
-    InFlight { attempt: u32 },
-    /// Returned and accepted.
-    Returned,
-    /// Abandoned after exhausting the retry budget.
-    Lost,
-}
-
-/// Per-task live state, owned by one shard.
-#[derive(Debug)]
-pub(crate) struct TaskState {
-    pub(crate) spec: TaskSpec,
-    pub(crate) held: u32,
-    pub(crate) cheats: bool,
-    /// The value each copy will return, materialized at activation in the
-    /// batch kernel's RNG order: adversary copies first, then honest ones.
-    pub(crate) values: Vec<ResultValue>,
-    pub(crate) copies: Vec<CopyState>,
-    pub(crate) returned: u32,
-    pub(crate) lost: u32,
-    pub(crate) judged: bool,
-}
-
-/// One hash shard: its slice of task state plus its partial outcome.
-#[derive(Debug, Default)]
-struct Shard {
-    tasks: Vec<TaskState>,
-    outcome: CampaignOutcome,
-}
-
-/// Where an activated task's state lives: `(shard, slot)`.
-#[derive(Debug, Clone, Copy)]
-struct SlotRef {
-    shard: u32,
-    slot: u32,
-}
-
-const UNASSIGNED: SlotRef = SlotRef {
-    shard: u32::MAX,
-    slot: u32::MAX,
-};
-
-/// An in-flight record awaiting return or expiry.  Deadlines are
-/// nondecreasing in issue order (the timeout is constant), so the front of
-/// the queue always expires first; records invalidated by a return are
-/// skipped lazily at expiry time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InFlightRec {
-    pub(crate) task: u32,
-    pub(crate) copy: u32,
-    pub(crate) attempt: u32,
-    pub(crate) deadline: u64,
-}
-
-/// FNV-1a over the task id's little-endian bytes — the shard hash.  Both
-/// the single-stream store and the per-shard-stream concurrent store
-/// partition ids with this hash, so a task lives on the same shard in
-/// either mode.
-pub(crate) fn shard_hash(id: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Draw one task's holdings and materialize the value each copy will
-/// return, consuming `rng` in exactly the batch kernel's order: one
-/// holdings draw through the shared sampler caches, then (only when
-/// `honest_error_rate > 0`) the honest copies' fault draws.  Shared by
-/// the single-stream [`AssignmentStore`] and the per-shard-stream
-/// [`ConcurrentStore`](super::ConcurrentStore) so both activation paths
-/// stay draw-for-draw identical.
-pub(crate) fn materialize_task(
-    config: &CampaignConfig,
-    binomial: &mut BinomialCache,
-    hypergeometric: &mut HypergeometricCache,
-    id: TaskId,
-    mult: u64,
-    rng: &mut DeterministicRng,
-) -> (u32, bool, Vec<ResultValue>) {
-    let sampler = prepare_holdings(
-        config,
-        mult,
-        binomial,
-        hypergeometric,
-        redundancy_stats::SamplerMode::BitCompat,
-    );
-    let held = sampler.sample(rng) as u32;
-    let cheats = config.strategy.cheats_on(held);
-    let wrong = colluded_wrong_result(id);
-    let right = correct_result(id);
-    let mut values = Vec::with_capacity(mult as usize);
-    for _ in 0..held {
-        values.push(if cheats { wrong } else { right });
-    }
-    for j in u64::from(held)..mult {
-        let faulty = config.honest_error_rate > 0.0 && rng.bernoulli(config.honest_error_rate);
-        values.push(if faulty {
-            faulty_result(id, j ^ rng.next_raw())
-        } else {
-            right
-        });
-    }
-    (held, cheats, values)
-}
-
-/// Judge a task whose copies have all returned or been abandoned, folding
-/// the verdict into `outcome` — the same tail as the batch kernels.
-/// `buf` is caller-owned scratch for the returned values.
-pub(crate) fn judge_completed(
-    supervisor: &Supervisor,
-    state: &mut TaskState,
-    buf: &mut Vec<ResultValue>,
-    outcome: &mut CampaignOutcome,
-) {
-    debug_assert!(!state.judged);
-    state.judged = true;
-    buf.clear();
-    for (value, copy) in state.values.iter().zip(&state.copies) {
-        if matches!(copy, CopyState::Returned) {
-            buf.push(*value);
-        }
-    }
-    let mult = u64::from(state.spec.multiplicity);
-    let returned = buf.len() as u64;
-    if returned < mult {
-        outcome.degraded.record((mult - returned) as usize);
-    }
-    if returned == 0 {
-        outcome.unresolved_tasks += 1;
-    } else {
-        judge_task(
-            supervisor,
-            &state.spec,
-            buf,
-            state.held,
-            state.cheats,
-            colluded_wrong_result(state.spec.id),
-            outcome,
-        );
-    }
-}
-
-/// The live sharded assignment store.  See the module docs for the
-/// activation/judging contract.
+/// The live single-stream assignment store: one [`ShardStore`] over the
+/// whole workload, drawing from the caller's session RNG.  See the module
+/// docs for the activation/judging contract.
 #[derive(Debug)]
 pub struct AssignmentStore {
-    config: CampaignConfig,
-    supervisor: Supervisor,
-    timeout: u64,
-    max_retries: u32,
-    groups: Vec<SpecGroup>,
-    base_id: u64,
-    total_tasks: u64,
-    total_copies: u64,
-    // Activation cursor: walks groups in task-id order.
-    group_cursor: usize,
-    group_offset: u64,
-    /// The task currently being dealt, with its next copy index.
-    active: Option<(u32, u32, u32)>, // (task index, next copy, multiplicity)
-    binomial: BinomialCache,
-    hypergeometric: HypergeometricCache,
-    shards: Vec<Shard>,
-    slots: Vec<SlotRef>,
-    requeue: VecDeque<(u32, u32, u32)>, // (task index, copy, attempt)
-    inflight: VecDeque<InFlightRec>,
-    now: u64,
-    issued: u64,
-    returned: u64,
-    in_flight_count: u64,
-    lost: u64,
-    activated_tasks: u64,
-    completed_tasks: u64,
-    results_buf: Vec<ResultValue>,
+    shards: usize,
+    store: ShardStore,
 }
 
 impl AssignmentStore {
@@ -492,65 +318,24 @@ impl AssignmentStore {
     ) -> Result<Self, String> {
         config.validate()?;
         serve.validate()?;
-        let groups: Vec<SpecGroup> = grouped_specs(tasks).collect();
-        let mut expected = groups.first().map_or(0, |g| g.first_id.0);
-        let base_id = expected;
-        let mut total_copies = 0u64;
-        for g in &groups {
-            if g.multiplicity == 0 {
-                return Err(format!("task {} has multiplicity 0", g.first_id.0));
-            }
-            if g.first_id.0 != expected {
-                return Err(format!(
-                    "task ids must be contiguous: expected {expected}, found {}",
-                    g.first_id.0
-                ));
-            }
-            expected += g.count;
-            total_copies += g.count * u64::from(g.multiplicity);
-        }
-        let total_tasks = expected - base_id;
-        let mut shards: Vec<Shard> = (0..serve.shards).map(|_| Shard::default()).collect();
-        // The session is one campaign; the counter lives on shard 0 and
-        // surfaces through the merged outcome.
-        shards[0].outcome.campaigns = 1;
+        let workload = Arc::new(Workload::new(tasks, config)?);
+        let owned = (workload.total_tasks(), workload.total_copies());
         Ok(AssignmentStore {
-            config: *config,
-            supervisor: Supervisor::new(config.policy),
-            timeout: serve.faults.timeout,
-            max_retries: serve.faults.max_retries,
-            groups,
-            base_id,
-            total_tasks,
-            total_copies,
-            group_cursor: 0,
-            group_offset: 0,
-            active: None,
-            binomial: BinomialCache::default(),
-            hypergeometric: HypergeometricCache::default(),
-            shards,
-            slots: vec![UNASSIGNED; total_tasks as usize],
-            requeue: VecDeque::new(),
-            inflight: VecDeque::new(),
-            now: 0,
-            issued: 0,
-            returned: 0,
-            in_flight_count: 0,
-            lost: 0,
-            activated_tasks: 0,
-            completed_tasks: 0,
-            results_buf: Vec::new(),
+            shards: serve.shards,
+            store: ShardStore::new(workload, serve, Owner::All, owned, 1),
         })
     }
 
-    /// Number of hash shards.
+    /// The configured shard count.  The single-stream store keeps its
+    /// task state in one arena, so the count cannot perturb outcomes; it
+    /// is kept for the journal header and the reports.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// True once every task has been judged.
     pub fn is_drained(&self) -> bool {
-        self.completed_tasks == self.total_tasks
+        self.store.is_drained()
     }
 
     /// Hand out the next copy of work.
@@ -559,250 +344,36 @@ impl AssignmentStore {
     /// (re-queueing or abandoning them per the retry policy), then serves
     /// re-queued copies first and freshly activated tasks after.
     pub fn request_work(&mut self, rng: &mut DeterministicRng) -> Issue {
-        self.now += 1;
-        self.expire_overdue();
-        if let Some((task, copy, attempt)) = self.requeue.pop_front() {
-            return Issue::Work(self.issue(task, copy, attempt));
-        }
-        if self.active.is_none() {
-            self.activate_next(rng);
-        }
-        if let Some((task, copy, mult)) = self.active {
-            self.active = if copy + 1 < mult {
-                Some((task, copy + 1, mult))
-            } else {
-                None
-            };
-            return Issue::Work(self.issue(task, copy, 0));
-        }
-        if self.in_flight_count > 0 {
-            Issue::Idle
-        } else {
-            debug_assert!(self.is_drained(), "no work, none in flight, not drained");
-            Issue::Drained
-        }
+        self.store.request_work(rng)
     }
 
     /// Accept the return of one in-flight copy; judges the task when it
     /// was the last outstanding copy.
     pub fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        let idx = task
-            .0
-            .checked_sub(self.base_id)
-            .filter(|&i| i < self.total_tasks)
-            .ok_or(ServeError::UnknownTask(task))? as usize;
-        let slot = self.slots[idx];
-        if slot.shard == u32::MAX {
-            // Never activated, so no copy of it was ever issued.
-            return Err(ServeError::NotInFlight { task, copy });
-        }
-        let shard = &mut self.shards[slot.shard as usize];
-        let state = &mut shard.tasks[slot.slot as usize];
-        if copy >= state.spec.multiplicity {
-            return Err(ServeError::CopyOutOfRange {
-                task,
-                copy,
-                multiplicity: state.spec.multiplicity,
-            });
-        }
-        if !matches!(state.copies[copy as usize], CopyState::InFlight { .. }) {
-            return Err(ServeError::NotInFlight { task, copy });
-        }
-        state.copies[copy as usize] = CopyState::Returned;
-        state.returned += 1;
-        self.returned += 1;
-        self.in_flight_count -= 1;
-        let complete = u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity);
-        if complete {
-            self.judge(slot);
-        }
-        Ok(ReturnAck {
-            task_complete: complete,
-        })
+        // Tasks activate in id order, so a task's slot is its index.
+        let slot = self
+            .store
+            .workload()
+            .index_of(task)
+            .ok_or(ServeError::UnknownTask(task))?;
+        self.store.return_result(slot, task, copy)
     }
 
     /// The live session snapshot.
     pub fn stats(&self) -> ServeStats {
-        let mut attempted = 0u64;
-        let mut detected = 0u64;
-        let mut wrong_accepted = 0u64;
-        let mut false_flags = 0u64;
-        let mut unresolved = 0u64;
-        let mut timeouts = 0u64;
-        let mut retries = 0u64;
-        for shard in &self.shards {
-            attempted += shard.outcome.total_attempted();
-            detected += shard.outcome.total_detected();
-            wrong_accepted += shard.outcome.wrong_accepted;
-            false_flags += shard.outcome.false_flags;
-            unresolved += shard.outcome.unresolved_tasks;
-            timeouts += shard.outcome.timeouts;
-            retries += shard.outcome.retries;
-        }
-        ServeStats {
-            total_tasks: self.total_tasks,
-            activated_tasks: self.activated_tasks,
-            completed_tasks: self.completed_tasks,
-            total_copies: self.total_copies,
-            issued: self.issued,
-            returned: self.returned,
-            in_flight: self.in_flight_count,
-            requeued: self.requeue.len() as u64,
-            lost: self.lost,
-            timeouts,
-            retries,
-            cheats_attempted: attempted,
-            cheats_detected: detected,
-            wrong_accepted,
-            false_flags,
-            unresolved_tasks: unresolved,
-        }
+        self.store.stats()
     }
 
-    /// Fold the shards' partial outcomes into one [`CampaignOutcome`] —
-    /// bit-identical to the batch kernel's once the session is drained.
+    /// The session's outcome — bit-identical to the batch kernel's once
+    /// the session is drained.
     pub fn merged_outcome(&self) -> CampaignOutcome {
-        let mut out = CampaignOutcome::default();
-        for shard in &self.shards {
-            out.merge(&shard.outcome);
-        }
-        out
-    }
-
-    /// Draw holdings and materialize result values for the next task in id
-    /// order, making it the active dispatch target.  Returns false when the
-    /// workload is fully activated.
-    fn activate_next(&mut self, rng: &mut DeterministicRng) -> bool {
-        let group = loop {
-            let Some(g) = self.groups.get(self.group_cursor) else {
-                return false;
-            };
-            if self.group_offset < g.count {
-                break *g;
-            }
-            self.group_cursor += 1;
-            self.group_offset = 0;
-        };
-        let mult = u64::from(group.multiplicity);
-        let id = TaskId(group.first_id.0 + self.group_offset);
-        self.group_offset += 1;
-        // Same sampler caches, same draw order as the batch kernel.
-        // The live store promises bit-identity with the batch kernel, so
-        // it always draws in bit-compat mode.
-        let (held, cheats, values) = materialize_task(
-            &self.config,
-            &mut self.binomial,
-            &mut self.hypergeometric,
-            id,
-            mult,
-            rng,
-        );
-        let shard_ix = (shard_hash(id.0) % self.shards.len() as u64) as u32;
-        let shard = &mut self.shards[shard_ix as usize];
-        shard.outcome.tasks += 1;
-        shard.outcome.assignments += mult;
-        shard.outcome.holdings.record(held as usize);
-        let slot = shard.tasks.len() as u32;
-        shard.tasks.push(TaskState {
-            spec: TaskSpec {
-                id,
-                multiplicity: group.multiplicity,
-                precomputed: group.precomputed,
-            },
-            held,
-            cheats,
-            values,
-            copies: vec![CopyState::Pending; group.multiplicity as usize],
-            returned: 0,
-            lost: 0,
-            judged: false,
-        });
-        let idx = (id.0 - self.base_id) as usize;
-        self.slots[idx] = SlotRef {
-            shard: shard_ix,
-            slot,
-        };
-        self.active = Some((idx as u32, 0, group.multiplicity));
-        self.activated_tasks += 1;
-        true
-    }
-
-    /// Mark one copy in flight and register its deadline.
-    fn issue(&mut self, task: u32, copy: u32, attempt: u32) -> Assignment {
-        let slot = self.slots[task as usize];
-        let state = &mut self.shards[slot.shard as usize].tasks[slot.slot as usize];
-        debug_assert_eq!(state.copies[copy as usize], CopyState::Pending);
-        state.copies[copy as usize] = CopyState::InFlight { attempt };
-        let spec = state.spec;
-        self.inflight.push_back(InFlightRec {
-            task,
-            copy,
-            attempt,
-            deadline: self.now + self.timeout,
-        });
-        self.issued += 1;
-        self.in_flight_count += 1;
-        Assignment {
-            task: spec.id,
-            copy,
-            multiplicity: spec.multiplicity,
-        }
-    }
-
-    /// Expire overdue in-flight copies: re-queue within the retry budget,
-    /// abandon beyond it.  Records invalidated by a return are skipped.
-    fn expire_overdue(&mut self) {
-        while let Some(rec) = self.inflight.front().copied() {
-            if rec.deadline > self.now {
-                break;
-            }
-            self.inflight.pop_front();
-            let slot = self.slots[rec.task as usize];
-            let shard = &mut self.shards[slot.shard as usize];
-            let state = &mut shard.tasks[slot.slot as usize];
-            let live = matches!(
-                state.copies[rec.copy as usize],
-                CopyState::InFlight { attempt } if attempt == rec.attempt
-            );
-            if !live {
-                continue;
-            }
-            self.in_flight_count -= 1;
-            shard.outcome.timeouts += 1;
-            if rec.attempt >= self.max_retries {
-                state.copies[rec.copy as usize] = CopyState::Lost;
-                state.lost += 1;
-                self.lost += 1;
-                shard.outcome.lost_assignments += 1;
-                if u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity) {
-                    self.judge(slot);
-                }
-            } else {
-                shard.outcome.retries += 1;
-                state.copies[rec.copy as usize] = CopyState::Pending;
-                self.requeue
-                    .push_back((rec.task, rec.copy, rec.attempt + 1));
-            }
-        }
-    }
-
-    /// Judge a task whose copies have all returned or been abandoned,
-    /// folding the verdict into its shard's outcome — the same tail as the
-    /// batch kernels.
-    fn judge(&mut self, slot: SlotRef) {
-        let mut buf = std::mem::take(&mut self.results_buf);
-        let Shard { tasks, outcome } = &mut self.shards[slot.shard as usize];
-        let state = &mut tasks[slot.slot as usize];
-        self.completed_tasks += 1;
-        judge_completed(&self.supervisor, state, &mut buf, outcome);
-        self.results_buf = buf;
+        self.store.outcome().clone()
     }
 
     /// Running `(timeouts, lost)` totals — the deltas the journal layer
     /// logs around `request_work` to make timeout expiries replayable.
     pub fn expiry_counters(&self) -> (u64, u64) {
-        let timeouts: u64 = self.shards.iter().map(|s| s.outcome.timeouts).sum();
-        (timeouts, self.lost)
+        self.store.expiry_counters()
     }
 
     /// Revert every in-flight copy to pending and re-queue it under its
@@ -815,24 +386,14 @@ impl AssignmentStore {
     /// drain reaches (conservation: `issued = returned + timeouts +
     /// in-flight` holds before and after).
     pub fn reset_in_flight(&mut self) -> u64 {
-        let mut reverted = 0u64;
-        while let Some(rec) = self.inflight.pop_front() {
-            let slot = self.slots[rec.task as usize];
-            let state = &mut self.shards[slot.shard as usize].tasks[slot.slot as usize];
-            let live = matches!(
-                state.copies[rec.copy as usize],
-                CopyState::InFlight { attempt } if attempt == rec.attempt
-            );
-            if !live {
-                continue;
-            }
-            state.copies[rec.copy as usize] = CopyState::Pending;
-            self.requeue.push_back((rec.task, rec.copy, rec.attempt));
-            reverted += 1;
-        }
-        self.in_flight_count -= reverted;
-        self.issued -= reverted;
-        reverted
+        self.store.reset_in_flight()
+    }
+
+    /// Records in the in-flight queue, stale ones included.  Stays within
+    /// twice the copies in flight plus a small constant, whatever the
+    /// timeout.
+    pub fn inflight_records(&self) -> usize {
+        self.store.inflight_records()
     }
 
     /// Exhaustively re-derive every counter from the per-copy states and
@@ -840,70 +401,7 @@ impl AssignmentStore {
     /// serve proptests after arbitrary interleavings; cheap enough to call
     /// inside test loops, never called on the hot path.
     pub fn check_invariants(&self) {
-        let mut in_flight = 0u64;
-        let mut returned = 0u64;
-        let mut lost = 0u64;
-        let mut activated = 0u64;
-        let mut completed = 0u64;
-        for shard in &self.shards {
-            for state in &shard.tasks {
-                activated += 1;
-                let mult = state.spec.multiplicity as usize;
-                assert_eq!(state.copies.len(), mult, "copy vector length drifted");
-                let mut counts = [0u32; 4];
-                for c in &state.copies {
-                    counts[match c {
-                        CopyState::Pending => 0,
-                        CopyState::InFlight { .. } => 1,
-                        CopyState::Returned => 2,
-                        CopyState::Lost => 3,
-                    }] += 1;
-                }
-                assert_eq!(
-                    counts.iter().map(|&c| c as usize).sum::<usize>(),
-                    mult,
-                    "copies of task {} not conserved",
-                    state.spec.id.0
-                );
-                assert_eq!(counts[2], state.returned, "returned count drifted");
-                assert_eq!(counts[3], state.lost, "lost count drifted");
-                assert_eq!(
-                    state.judged,
-                    u64::from(state.returned + state.lost) == u64::from(state.spec.multiplicity),
-                    "task {} judged flag inconsistent",
-                    state.spec.id.0
-                );
-                in_flight += u64::from(counts[1]);
-                returned += u64::from(counts[2]);
-                lost += u64::from(counts[3]);
-                completed += u64::from(state.judged);
-            }
-        }
-        assert_eq!(in_flight, self.in_flight_count, "in-flight count drifted");
-        assert_eq!(returned, self.returned, "returned count drifted");
-        assert_eq!(lost, self.lost, "lost count drifted");
-        assert_eq!(activated, self.activated_tasks, "activation count drifted");
-        assert_eq!(completed, self.completed_tasks, "completion count drifted");
-        // Every re-queued copy is Pending, and no copy is queued twice.
-        let mut seen = std::collections::HashSet::new();
-        for &(task, copy, _) in &self.requeue {
-            assert!(seen.insert((task, copy)), "copy re-queued twice");
-            let slot = self.slots[task as usize];
-            let state = &self.shards[slot.shard as usize].tasks[slot.slot as usize];
-            assert_eq!(
-                state.copies[copy as usize],
-                CopyState::Pending,
-                "re-queued copy not pending"
-            );
-        }
-        // Every issue is accounted for: it either returned, timed out, or
-        // is still in flight.
-        let timeouts: u64 = self.shards.iter().map(|s| s.outcome.timeouts).sum();
-        assert_eq!(
-            self.issued,
-            self.returned + timeouts + self.in_flight_count,
-            "issues leaked"
-        );
+        self.store.check_invariants();
     }
 }
 
@@ -1002,6 +500,14 @@ mod tests {
         errorful.honest_error_rate = 0.02;
         errorful.policy = VerificationPolicy::Majority;
         configs.push(errorful);
+        // The hypergeometric holdings plan, for a Sybil adversary.
+        configs.push(CampaignConfig::new(
+            AdversaryModel::SybilAccounts {
+                total: 40,
+                adversary: 9,
+            },
+            CheatStrategy::AtLeast { min_copies: 1 },
+        ));
         for cfg in configs {
             for shards in [1usize, 2, 4] {
                 let mut batch_rng = DeterministicRng::new(99);

@@ -29,7 +29,7 @@ use crate::task::{expand_plan, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::samplers::{sample_binomial, sample_hypergeometric};
-use redundancy_stats::{DeterministicRng, RunningMoments};
+use redundancy_stats::DeterministicRng;
 
 /// Closed-form expected number of undetected cheats before first detection
 /// when each attempt is caught with probability `p_eff`.
@@ -59,13 +59,73 @@ pub fn p_caught_within(p_eff: f64, attempts: u64) -> f64 {
     1.0 - (1.0 - p_eff).powi(attempts.min(i32::MAX as u64) as i32)
 }
 
+/// Moments of a per-career count, kept as exact integer sums: merging is
+/// integer addition, so the result is the same bits whichever worker ran
+/// which chunk of careers and in whatever order the partials fold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CountMoments {
+    n: u64,
+    sum: u128,
+    sum_sq: u128,
+}
+
+impl CountMoments {
+    /// Add one observation.
+    pub fn push(&mut self, x: u64) {
+        self.n += 1;
+        self.sum += u128::from(x);
+        self.sum_sq += u128::from(x) * u128::from(x);
+    }
+
+    /// Fold another tally into this one.
+    pub fn merge(&mut self, other: &CountMoments) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// Sample mean (0 for an empty tally).
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.n as f64
+        }
+    }
+
+    /// Unbiased sample variance; 0 with fewer than two observations.  The
+    /// numerator `n·Σx² − (Σx)²` is exact.
+    pub fn sample_variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = u128::from(self.n);
+        let spread = n * self.sum_sq - self.sum * self.sum;
+        spread as f64 / (n * (n - 1)) as f64
+    }
+
+    /// Standard error of the mean.
+    pub fn standard_error(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            (self.sample_variance() / self.n as f64).sqrt()
+        }
+    }
+}
+
 /// Aggregated survival statistics from simulated careers.
 #[derive(Debug, Clone, Default)]
 pub struct SurvivalOutcome {
     /// Undetected cheats completed before the first detection, per career
     /// (careers that were never caught contribute their full cheat count
     /// and are tallied in `never_caught`).
-    pub free_cheats: RunningMoments,
+    pub free_cheats: CountMoments,
     /// Careers in which the adversary exhausted the campaign uncaught.
     pub never_caught: u64,
     /// Total simulated careers.
@@ -73,7 +133,8 @@ pub struct SurvivalOutcome {
 }
 
 impl SurvivalOutcome {
-    /// Merge another outcome (order-insensitive).
+    /// Merge another outcome.  Every field is an integer sum, so the
+    /// merge is exactly commutative and associative.
     pub fn merge(&mut self, other: &SurvivalOutcome) {
         self.free_cheats.merge(&other.free_cheats);
         self.never_caught += other.never_caught;
@@ -149,7 +210,7 @@ pub fn survival_experiment_with(
         &trial_cfg,
         |rng, _i, acc: &mut SurvivalOutcome| {
             let (free, caught) = career(&tasks, config, rng);
-            acc.free_cheats.push(free as f64);
+            acc.free_cheats.push(free);
             if !caught {
                 acc.never_caught += 1;
             }
@@ -274,6 +335,33 @@ mod tests {
         let b = survival_experiment(&plan, &config(0.1), 200, 5);
         assert_eq!(a.free_cheats.mean(), b.free_cheats.mean());
         assert_eq!(a.never_caught, b.never_caught);
+        // The same careers at any thread count, whichever worker claims
+        // which chunk: the tallies are exact.
+        for threads in [1, 2, 4] {
+            let c = survival_experiment_with(&plan, &config(0.1), 200, 5, threads);
+            assert_eq!(c.free_cheats, a.free_cheats, "{threads} threads");
+            assert_eq!(c.never_caught, a.never_caught);
+        }
+    }
+
+    #[test]
+    fn count_moments_are_exact_and_merge_in_any_order() {
+        let xs = [3u64, 0, 7, 7, 1, 12, 4];
+        let mut all = CountMoments::default();
+        xs.iter().for_each(|&x| all.push(x));
+        let (mut a, mut b) = (CountMoments::default(), CountMoments::default());
+        xs[..3].iter().for_each(|&x| a.push(x));
+        xs[3..].iter().for_each(|&x| b.push(x));
+        let mut ab = a;
+        ab.merge(&b);
+        b.merge(&a);
+        assert_eq!(ab, all);
+        assert_eq!(b, all);
+        assert_eq!(all.count(), 7);
+        assert_eq!(all.mean(), 34.0 / 7.0);
+        // Σx² = 268: variance (7·268 − 34²) / (7·6) = 720 / 42.
+        assert_eq!(all.sample_variance(), 720.0 / 42.0);
+        assert_eq!(CountMoments::default().mean(), 0.0);
     }
 
     #[test]

@@ -300,6 +300,96 @@ proptest! {
         }
     }
 
+    /// Under a timeout no drain reaches, copies that return leave stale
+    /// records in the in-flight queue.  A client holding a few early
+    /// copies for the whole session would pin every later record behind
+    /// them unless stale records are dropped, so the queue would hold
+    /// every copy ever issued.  It must instead stay within twice the
+    /// copies in flight (plus a constant per shard), with the invariants
+    /// holding throughout and the drained stores matching their oracles.
+    #[test]
+    fn inflight_queue_stays_bounded_by_the_copies_in_flight(
+        tasks in 200u64..1_500,
+        seed in 0u64..100_000,
+        pinned in 1usize..8,
+        window in 1usize..64,
+        decisions in vec(0u32..1_000_000, 64usize),
+    ) {
+        let (plan, config) = campaign_shape(tasks, 50, 20, 3, false, 0);
+        let specs = redundancy_sim::task::expand_plan(&plan);
+        let bound = |in_flight: u64, shards: usize| 2 * in_flight as usize + 64 * shards;
+
+        let oracle = ConcurrentStore::new(&specs, &config, &patient(2), seed).unwrap();
+        oracle.drain_shard_by_shard();
+        let store = ConcurrentStore::new(&specs, &config, &patient(2), seed).unwrap();
+        let mut single_rng = DeterministicRng::new(seed);
+        let mut single = AssignmentStore::new(&specs, &config, &patient(2)).unwrap();
+        let (mut held, mut single_held) = (Vec::new(), Vec::new());
+        let (mut pins, mut single_pins) = (Vec::new(), Vec::new());
+        let (mut sharded_done, mut single_done) = (false, false);
+        let mut step = 0usize;
+        while !(sharded_done && single_done) {
+            let d = decisions[step % decisions.len()] as usize;
+            step += 1;
+            // The first `pinned` copies stay out until nothing else can be
+            // issued (`idle`); the rest are returned in a drawn order once
+            // more than `window` are out.
+            if !sharded_done {
+                match store.request_work() {
+                    Issue::Work(a) if pins.len() < pinned => pins.push(a),
+                    Issue::Work(a) => held.push(a),
+                    Issue::Idle => {
+                        for a in held.drain(..).chain(pins.drain(..)) {
+                            store.return_result(a.task, a.copy).unwrap();
+                        }
+                    }
+                    Issue::Drained => sharded_done = true,
+                }
+                while held.len() > window {
+                    let a = held.swap_remove(d % held.len());
+                    store.return_result(a.task, a.copy).unwrap();
+                }
+            }
+            if !single_done {
+                match single.request_work(&mut single_rng) {
+                    Issue::Work(a) if single_pins.len() < pinned => single_pins.push(a),
+                    Issue::Work(a) => single_held.push(a),
+                    Issue::Idle => {
+                        for a in single_held.drain(..).chain(single_pins.drain(..)) {
+                            single.return_result(a.task, a.copy).unwrap();
+                        }
+                    }
+                    Issue::Drained => single_done = true,
+                }
+                while single_held.len() > window {
+                    let a = single_held.swap_remove(d % single_held.len());
+                    single.return_result(a.task, a.copy).unwrap();
+                }
+            }
+            prop_assert!(store.inflight_records() <= bound(store.stats().in_flight, 2),
+                "{} records for {} copies in flight", store.inflight_records(),
+                store.stats().in_flight);
+            prop_assert!(single.inflight_records() <= bound(single.stats().in_flight, 1),
+                "{} records for {} copies in flight", single.inflight_records(),
+                single.stats().in_flight);
+            if step.is_multiple_of(97) {
+                store.check_invariants();
+                single.check_invariants();
+            }
+        }
+        store.check_invariants();
+        single.check_invariants();
+        prop_assert_eq!(&store.merged_outcome(), &oracle.merged_outcome());
+        prop_assert_eq!(&store.final_rngs(), &oracle.final_rngs());
+        prop_assert_eq!(store.stats(), oracle.stats());
+        let mut batch_rng = DeterministicRng::new(seed);
+        let mut batch_out = CampaignOutcome::default();
+        let mut scratch = CampaignScratch::new();
+        run_campaign_with_scratch(&specs, &config, &mut batch_rng, &mut batch_out, &mut scratch);
+        prop_assert_eq!(&single.merged_outcome(), &batch_out);
+        prop_assert_eq!(&single_rng, &batch_rng);
+    }
+
     /// Conservation of multiplicity per shard: the sharded store under an
     /// aggressive timeout and floor-dropped assignments still accounts for
     /// every copy, shard-locally and in aggregate — the per-shard stats

@@ -1,7 +1,7 @@
 //! Integration: the `redundancy` CLI drives the whole stack end to end.
 
 use redundancy_cli::run;
-use redundancy_integration::snapshot::binary_path;
+use redundancy_integration::snapshot::cli_binary_path;
 use std::process::Command;
 
 fn cli(parts: &[&str]) -> Result<String, String> {
@@ -212,7 +212,7 @@ batched-kernel oracle: bit-identical
 #[test]
 fn serve_flag_validation_exits_2_naming_the_flag() {
     for (flag, value) in [("--shards", "0"), ("--port", "70000")] {
-        let path = binary_path("redundancy");
+        let path = cli_binary_path();
         assert!(path.exists(), "{} not built", path.display());
         let out = Command::new(&path)
             .args(["serve", flag, value])
@@ -239,7 +239,7 @@ fn serve_flag_validation_exits_2_naming_the_flag() {
 /// the flag, before any session is built; nothing is printed to stdout.
 #[test]
 fn journal_flag_validation_exits_2_naming_the_flag() {
-    let path = binary_path("redundancy");
+    let path = cli_binary_path();
     assert!(path.exists(), "{} not built", path.display());
     let missing = "/nonexistent/journal.bin";
     let cases: [(&[&str], &str); 4] = [
@@ -285,7 +285,7 @@ fn churn_rejects_invalid_parameters_with_messages() {
 #[test]
 fn churn_flag_validation_exits_2_naming_the_flag() {
     for (flag, value) in [("--enter-rate", "-1"), ("--threads", "0")] {
-        let path = binary_path("redundancy");
+        let path = cli_binary_path();
         assert!(path.exists(), "{} not built", path.display());
         let out = Command::new(&path)
             .args(["churn", flag, value])

@@ -10,7 +10,7 @@
 //! cleanly, never hang or panic.
 
 use redundancy_core::RealizedPlan;
-use redundancy_integration::snapshot::binary_path;
+use redundancy_integration::snapshot::cli_binary_path;
 use redundancy_sim::serve::{
     decode_frames, script_frames, ServeConfig, ServeSession, SessionEnd, MAX_FRAME,
 };
@@ -63,7 +63,7 @@ fn oracle_session() -> ServeSession {
 /// raw `input` bytes, and return its stdout bytes (asserting a clean
 /// exit — malformed input must never crash or hang the process).
 fn run_stdio(input: &[u8]) -> Vec<u8> {
-    let path = binary_path("redundancy");
+    let path = cli_binary_path();
     assert!(path.exists(), "{} not built", path.display());
     let mut child = Command::new(&path)
         .args([
@@ -171,7 +171,7 @@ fn stdio_per_shard_streams_serve_the_same_protocol() {
     // formatter; on this tiny workload the dispatch order happens to
     // match the single-stream script too (shard-owned ids are walked in
     // id order and the driver returns each copy before asking again).
-    let path = binary_path("redundancy");
+    let path = cli_binary_path();
     assert!(path.exists(), "{} not built", path.display());
     let mut child = Command::new(&path)
         .args([
@@ -219,7 +219,7 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
         combos.push(("epoll", "per-shard"));
     }
     for (io, streams) in combos {
-        let path = binary_path("redundancy");
+        let path = cli_binary_path();
         assert!(path.exists(), "{} not built", path.display());
         let mut child = Command::new(&path)
             .args([
@@ -303,7 +303,7 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
 fn killed_journaled_daemon_recovers_to_the_uninterrupted_report() {
     use redundancy_sim::serve::{read_frame, write_frame, Frame};
     use std::io::{BufRead as _, BufReader};
-    let path = binary_path("redundancy");
+    let path = cli_binary_path();
     assert!(path.exists(), "{} not built", path.display());
     let journal =
         std::env::temp_dir().join(format!("it_serve_crash_{}.journal", std::process::id()));

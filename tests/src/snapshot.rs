@@ -3,14 +3,17 @@
 //! Every exhibit binary in `crates/repro` is deterministic for its default
 //! seed — including across thread counts, thanks to the chunk-seeded trial
 //! runner — so its entire stdout can be pinned byte-for-byte.  The suite
-//! in `it_snapshots.rs` runs each binary and compares against the files
-//! committed under `tests/snapshots/`.
+//! in `crates/repro/tests/it_snapshots.rs` runs each binary and compares
+//! against the files committed under `tests/snapshots/`.  It lives in the
+//! repro crate because cargo builds a package's binaries for that
+//! package's own integration tests and passes their paths in as
+//! `CARGO_BIN_EXE_<name>`; the helpers here take that path.
 //!
 //! Workflow:
 //!
 //! * a mismatch fails the test with a first-difference summary and the
 //!   regeneration command;
-//! * `UPDATE_SNAPSHOTS=1 cargo test -p redundancy-integration --test
+//! * `UPDATE_SNAPSHOTS=1 cargo test -p redundancy-repro --test
 //!   it_snapshots` rewrites the files and reports what changed;
 //! * regeneration is refused when `CI` is set (GitHub sets `CI=true`), so
 //!   a pipeline can never silently bless drifted output;
@@ -90,19 +93,17 @@ pub fn diff_summary(expected: &str, actual: &str) -> String {
     out
 }
 
-/// `target/<profile>/` for the build that produced this test executable
-/// (`target/<profile>/deps/<test>-<hash>` is two levels below it).
-fn target_profile_dir() -> PathBuf {
+/// Path of the `redundancy` CLI binary in the current build profile
+/// (`target/<profile>/deps/<test>-<hash>` is two levels below it).  A
+/// workspace `cargo test` builds it for the CLI crate's own integration
+/// tests; the exhibit binaries are instead reached through
+/// `CARGO_BIN_EXE_<name>` in the repro crate's suites.
+pub fn cli_binary_path() -> PathBuf {
     let exe = std::env::current_exe().expect("test executable has a path");
     exe.parent()
         .and_then(Path::parent)
         .expect("test executable lives in target/<profile>/deps")
-        .to_path_buf()
-}
-
-/// Path of a repro binary in the current build profile.
-pub fn binary_path(name: &str) -> PathBuf {
-    target_profile_dir().join(format!("{name}{}", std::env::consts::EXE_SUFFIX))
+        .join(format!("redundancy{}", std::env::consts::EXE_SUFFIX))
 }
 
 /// The committed snapshot file for an exhibit.
@@ -112,24 +113,18 @@ pub fn snapshot_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Run one exhibit binary and return its stdout.
+/// Run the exhibit binary at `bin` (its `CARGO_BIN_EXE_<name>` path) and
+/// return its stdout.
 ///
 /// Honors `SNAPSHOT_THREADS` (default 1) by forwarding `--threads`; the
 /// repro CLI ignores unknown flags, so this is safe even for the exhibits
 /// that are not multi-threaded.
-pub fn run_exhibit(name: &str) -> String {
-    let bin = binary_path(name);
-    assert!(
-        bin.exists(),
-        "repro binary {} not built; run `cargo build -p redundancy-repro --bins` \
-(a workspace-root `cargo test` builds it automatically)",
-        bin.display()
-    );
+pub fn run_exhibit(name: &str, bin: &Path) -> String {
     let threads = std::env::var("SNAPSHOT_THREADS").unwrap_or_else(|_| "1".into());
-    let out = Command::new(&bin)
+    let out = Command::new(bin)
         .args(["--threads", &threads])
         .output()
-        .unwrap_or_else(|e| panic!("spawning {name}: {e}"));
+        .unwrap_or_else(|e| panic!("spawning {name} at {}: {e}", bin.display()));
     assert!(
         out.status.success(),
         "{name} exited with {}: {}",
@@ -139,10 +134,10 @@ pub fn run_exhibit(name: &str) -> String {
     String::from_utf8(out.stdout).unwrap_or_else(|e| panic!("{name} emitted non-UTF-8: {e}"))
 }
 
-/// Compare one exhibit against its committed snapshot, or regenerate it
-/// when the environment allows (see [`should_update`]).
-pub fn check_exhibit(name: &str) {
-    check_actual(name, &run_exhibit(name));
+/// Compare the exhibit binary at `bin` against its committed snapshot, or
+/// regenerate it when the environment allows (see [`should_update`]).
+pub fn check_exhibit(name: &str, bin: &Path) {
+    check_actual(name, &run_exhibit(name, bin));
 }
 
 /// Compare already-captured output against the committed snapshot for
@@ -177,7 +172,7 @@ pub fn check_actual(name: &str, actual: &str) {
             panic!(
                 "{name} drifted from its golden snapshot {}.\n{}\
 If the change is intended, regenerate with:\n  \
-UPDATE_SNAPSHOTS=1 cargo test -p redundancy-integration --test it_snapshots\n\
+UPDATE_SNAPSHOTS=1 cargo test -p redundancy-repro --test it_snapshots\n\
 (refused in CI: the snapshots job only gates)",
                 path.display(),
                 diff_summary(&expected, actual)
@@ -186,7 +181,7 @@ UPDATE_SNAPSHOTS=1 cargo test -p redundancy-integration --test it_snapshots\n\
         (None, false) => {
             panic!(
                 "no snapshot committed at {}; generate one locally with \
-UPDATE_SNAPSHOTS=1 cargo test -p redundancy-integration --test it_snapshots",
+UPDATE_SNAPSHOTS=1 cargo test -p redundancy-repro --test it_snapshots",
                 path.display()
             );
         }
