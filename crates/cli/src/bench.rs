@@ -18,11 +18,10 @@ use redundancy_core::{AssignmentMinimizing, RealizedPlan};
 use redundancy_json::{num_u64, obj, Json};
 use redundancy_sim::engine::reference;
 use redundancy_sim::outcome::CampaignOutcome;
-use redundancy_sim::task::expand_plan;
+use redundancy_sim::task::{expand_plan, grouped_specs, SpecGroup};
 use redundancy_sim::{
-    run_campaign_with_scratch, AdversaryModel, CampaignAccumulator, CampaignConfig,
-    CampaignScratch, CheatStrategy, ConcurrentStore, FaultModel, ServeConfig, ServeSession,
-    ServeStats,
+    run_campaign_groups, AdversaryModel, CampaignAccumulator, CampaignConfig, CampaignScratch,
+    CheatStrategy, ConcurrentStore, FaultModel, ServeConfig, ServeSession, ServeStats,
 };
 use redundancy_stats::table::{fnum, inum, Table};
 use redundancy_stats::{
@@ -236,9 +235,11 @@ fn run_fixtures(
     let mut records = Vec::new();
 
     // Campaign kernel: the batched engine and its frozen per-task
-    // reference over the same plan — the pair the ≥2x claim rests on.
+    // reference over the same plan — the pair the ≥2x claim rests on.  The
+    // batched fixtures group the plan once, as the experiment drivers do.
     let plan = RealizedPlan::balanced(sizes.campaign_tasks, 0.6).map_err(CliError::Core)?;
     let tasks = expand_plan(&plan);
+    let groups: Vec<SpecGroup> = grouped_specs(&tasks).collect();
     let assignments = plan.total_assignments();
     {
         let mut rng = DeterministicRng::new(seed);
@@ -250,7 +251,13 @@ fn run_fixtures(
             assignments,
             measure(sizes.campaign_reps, || {
                 let mut out = CampaignOutcome::default();
-                run_campaign_with_scratch(&tasks, &cfg, &mut rng, &mut out, &mut scratch);
+                run_campaign_groups(
+                    groups.iter().copied(),
+                    &cfg,
+                    &mut rng,
+                    &mut out,
+                    &mut scratch,
+                );
                 out.total_detected()
             }),
         ));
@@ -269,7 +276,13 @@ fn run_fixtures(
             assignments,
             measure(sizes.campaign_reps, || {
                 let mut out = CampaignOutcome::default();
-                run_campaign_with_scratch(&tasks, &cfg, &mut rng, &mut out, &mut scratch);
+                run_campaign_groups(
+                    groups.iter().copied(),
+                    &cfg,
+                    &mut rng,
+                    &mut out,
+                    &mut scratch,
+                );
                 out.total_detected()
             }),
         ));
@@ -353,7 +366,7 @@ fn run_fixtures(
     // Monte-Carlo driver scaling: identical work at 1, 2, and 4 threads
     // (the outcome is thread-count invariant, so the checksums agree).
     let trials_plan = RealizedPlan::balanced(sizes.trials_tasks, 0.6).map_err(CliError::Core)?;
-    let trials_tasks = expand_plan(&trials_plan);
+    let trials_groups: Vec<SpecGroup> = grouped_specs(&expand_plan(&trials_plan)).collect();
     let trials_assignments = trials_plan.total_assignments() * sizes.trials_campaigns;
     for threads in thread_ladder(threads_cap) {
         let trial_cfg = TrialConfig {
@@ -372,8 +385,8 @@ fn run_fixtures(
                 let acc: CampaignAccumulator = run_trials(
                     &trial_cfg,
                     |rng, _i, acc: &mut CampaignAccumulator| {
-                        run_campaign_with_scratch(
-                            &trials_tasks,
+                        run_campaign_groups(
+                            trials_groups.iter().copied(),
                             &cfg,
                             rng,
                             &mut acc.outcome,
@@ -422,8 +435,8 @@ fn run_fixtures(
                         let acc: CampaignAccumulator = run_trials(
                             &trial_cfg,
                             |rng, _i, acc: &mut CampaignAccumulator| {
-                                run_campaign_with_scratch(
-                                    &trials_tasks,
+                                run_campaign_groups(
+                                    trials_groups.iter().copied(),
                                     &cfg,
                                     rng,
                                     &mut acc.outcome,

@@ -74,7 +74,7 @@ pub fn equality_gap(
 /// cheapest practical distribution delivering `ε_eff` for every tuple size
 /// is the Balanced distribution at `ε_eff`, costing
 /// `N·ln(1/(1−ε_eff))/ε_eff`.  Anything above that is "extra resources
-/// [that] increase computation costs without increasing protection and are
+/// \[that\] increase computation costs without increasing protection and are
 /// thus effectively wasted" — e.g. Golle–Stubblebine's over-protection of
 /// large tuples.
 ///

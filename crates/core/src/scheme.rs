@@ -4,7 +4,7 @@
 //! [`Distribution`] and (optionally) what asymptotic detection threshold it
 //! guarantees.  Everything else — detection probabilities, redundancy
 //! factors, integer realizations — is derived uniformly through the
-//! [`DetectionProfile`](crate::DetectionProfile) engine, so closed forms in
+//! [`DetectionProfile`] engine, so closed forms in
 //! individual schemes can always be cross-checked against the generic path.
 
 use crate::distribution::Distribution;

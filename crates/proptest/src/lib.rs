@@ -193,7 +193,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Anything usable as the size argument of [`vec`].
+    /// Anything usable as the size argument of [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;

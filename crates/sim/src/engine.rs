@@ -9,19 +9,22 @@
 //!
 //! # The batched kernel
 //!
-//! The hot loop is batched over [`grouped_specs`] runs of identical task
-//! shape: per-shape constants (multiplicity, adversary sampler preparation,
-//! task/assignment counters) are hoisted out of the per-task body, holdings
-//! are drawn through the cached CDF tables of [`BinomialCache`] /
-//! [`HypergeometricCache`], and all scratch state lives in a reusable
-//! [`CampaignScratch`] so steady-state campaigns allocate nothing.  When
-//! `honest_error_rate == 0` the supervisor's verdict is a closed form of
-//! `(held, multiplicity, precomputed, policy)` and the engine skips result
-//! materialization and comparison entirely.
+//! The hot loop is batched over [`SpecGroup`] runs of identical task shape
+//! ([`grouped_specs`], collected once per experiment by the drivers that
+//! run many campaigns): per-shape constants (multiplicity, adversary sampler
+//! preparation, task/assignment counters) are hoisted out of the per-task
+//! body, holdings are drawn through the cached CDF tables of
+//! [`BinomialCache`] / [`HypergeometricCache`], and all scratch state lives
+//! in a reusable [`CampaignScratch`] so steady-state campaigns allocate
+//! nothing.  When `honest_error_rate == 0` the supervisor's verdict is a
+//! closed form of `(held, multiplicity, precomputed, policy)`: the engine
+//! skips result materialization and comparison entirely, and bins each
+//! group's holdings in one [`PreparedSampler::histogram_into`] call,
+//! branch-free on integer CDF thresholds.
 //!
 //! All of this is *observationally identical* to the seed per-task loop —
 //! same RNG consumption, same outcome, bit for bit.  The frozen originals
-//! are kept in [`reference`] as the differential-testing oracle and the
+//! are kept in [`mod@reference`] as the differential-testing oracle and the
 //! benchmark baseline; the golden snapshots under `tests/snapshots/` pin
 //! the equivalence end-to-end.
 
@@ -31,8 +34,8 @@ use crate::outcome::CampaignOutcome;
 use crate::retry::{deliver_assignment, Delivery};
 use crate::supervisor::{Supervisor, VerificationPolicy};
 use crate::task::{
-    colluded_wrong_result, correct_result, faulty_result, grouped_specs, ResultValue, TaskId,
-    TaskSpec,
+    colluded_wrong_result, correct_result, faulty_result, grouped_specs, ResultValue, SpecGroup,
+    TaskId, TaskSpec,
 };
 use redundancy_stats::{
     BinomialCache, DeterministicRng, HypergeometricCache, PreparedSampler, SamplerMode,
@@ -338,8 +341,28 @@ pub fn run_campaign(
 /// exact same closed-form tallies per drawn value), but a different RNG
 /// stream, pinned by fast-mode determinism checksums rather than the
 /// snapshots.
+///
+/// Groups `tasks` on every call; drivers that run many campaigns over one
+/// task list group it once and call [`run_campaign_groups`].
 pub fn run_campaign_with_scratch(
     tasks: &[TaskSpec],
+    config: &CampaignConfig,
+    rng: &mut DeterministicRng,
+    outcome: &mut CampaignOutcome,
+    scratch: &mut CampaignScratch,
+) {
+    run_campaign_groups(grouped_specs(tasks), config, rng, outcome, scratch);
+}
+
+/// The campaign kernel over task runs grouped in advance.
+///
+/// `groups` must partition the campaign's tasks in id order, as
+/// [`grouped_specs`] produces them; the outcome then equals
+/// [`run_campaign_with_scratch`] over the tasks bit for bit.  Drivers that
+/// run many campaigns over one task list collect the groups once and pass
+/// them to every campaign.
+pub fn run_campaign_groups(
+    groups: impl IntoIterator<Item = SpecGroup>,
     config: &CampaignConfig,
     rng: &mut DeterministicRng,
     outcome: &mut CampaignOutcome,
@@ -368,7 +391,7 @@ pub fn run_campaign_with_scratch(
     if errorless {
         tally.reset();
     }
-    for group in grouped_specs(tasks) {
+    for group in groups {
         let mult = group.multiplicity as u64;
         outcome.tasks += group.count;
         outcome.assignments += group.count * mult;
@@ -376,22 +399,12 @@ pub fn run_campaign_with_scratch(
         if errorless {
             // Every per-task tally is a pure function of `held` and the
             // group constants, and all outcome counters are commutative
-            // sums — so the hot loop only bins the draws, and the verdict
-            // fold is a branch-free lane MAC over the binned counts.
+            // sums — so the group's draws are only binned, in one call,
+            // and the verdict fold is a branch-free lane MAC over the
+            // binned counts.
             held_counts.clear();
             held_counts.resize(mult as usize + 1, 0);
-            if let Some(table) = sampler.as_alias() {
-                // Fast mode: the verdict fold only consumes the *binned*
-                // draws, and the histogram of `count` iid draws is a
-                // multinomial over the support — so sample it directly,
-                // one conditional binomial per holdings bin instead of
-                // one uniform per task.  Same law, group-sized cost.
-                table.multinomial_into(group.count, rng, held_counts);
-            } else {
-                for _ in 0..group.count {
-                    held_counts[sampler.sample(rng) as usize] += 1;
-                }
-            }
+            sampler.histogram_into(group.count, rng, held_counts);
             tally.set_masks(mult, group.precomputed, &config.strategy, majority);
             tally.accumulate(held_counts);
             continue;
@@ -469,7 +482,7 @@ pub fn run_campaign_with_faults(
 
 /// [`run_campaign_with_faults`] with caller-owned scratch.
 ///
-/// Shares the holdings sampler ([`HoldingsSampler`]) and the verdict tail
+/// Shares the holdings sampler (`prepare_holdings`) and the verdict tail
 /// (`judge_task`) with the fault-free kernel, so the two variants cannot
 /// drift; every copy's delivery still consumes RNG, so there is no
 /// closed-form fast path here.
@@ -481,9 +494,22 @@ pub fn run_campaign_with_faults_scratch(
     outcome: &mut CampaignOutcome,
     scratch: &mut CampaignScratch,
 ) {
+    run_campaign_groups_with_faults(grouped_specs(tasks), config, faults, rng, outcome, scratch);
+}
+
+/// [`run_campaign_with_faults_scratch`] over task runs grouped in advance,
+/// with the same contract on `groups` as [`run_campaign_groups`].
+pub fn run_campaign_groups_with_faults(
+    groups: impl IntoIterator<Item = SpecGroup>,
+    config: &CampaignConfig,
+    faults: &FaultModel,
+    rng: &mut DeterministicRng,
+    outcome: &mut CampaignOutcome,
+    scratch: &mut CampaignScratch,
+) {
     debug_assert!(faults.validate().is_ok(), "invalid fault model");
     if !faults.is_active() {
-        return run_campaign_with_scratch(tasks, config, rng, outcome, scratch);
+        return run_campaign_groups(groups, config, rng, outcome, scratch);
     }
     debug_assert!(config.validate().is_ok(), "invalid campaign config");
     let supervisor = Supervisor::new(config.policy);
@@ -496,7 +522,7 @@ pub fn run_campaign_with_faults_scratch(
         ..
     } = scratch;
     let mode = *mode;
-    for group in grouped_specs(tasks) {
+    for group in groups {
         let mult = group.multiplicity as u64;
         outcome.tasks += group.count;
         outcome.assignments += group.count * mult;
@@ -920,8 +946,14 @@ mod tests {
     fn batched_kernel_is_bit_identical_to_reference() {
         let balanced = specs(1_500, 0.75);
         let pairs = expand_plan(&RealizedPlan::k_fold(800, 2, 0.5).unwrap());
+        // Groups wider than the 8 thresholds the batched binning unrolls.
+        let wide = specs(1_500, 0.9);
+        let widest = wide.iter().map(|t| t.multiplicity).max().unwrap();
+        assert!(widest > 8, "ε = 0.9 plan tops out at multiplicity {widest}");
         let models = [
             AdversaryModel::AssignmentFraction { p: 0.2 },
+            // p > ½: mirrored tables.
+            AdversaryModel::AssignmentFraction { p: 0.7 },
             AdversaryModel::SybilAccounts {
                 total: 10_000,
                 adversary: 1_500,
@@ -936,7 +968,7 @@ mod tests {
         ];
         let policies = [VerificationPolicy::Unanimous, VerificationPolicy::Majority];
         let mut seed = 1_000;
-        for tasks in [&balanced, &pairs] {
+        for tasks in [&balanced, &pairs, &wide] {
             for adversary in models {
                 for strategy in strategies {
                     for policy in policies {

@@ -3,12 +3,12 @@
 
 use crate::adversary::{AdversaryModel, CheatStrategy};
 use crate::engine::{
-    run_campaign_with_faults_scratch, run_campaign_with_scratch, CampaignAccumulator,
-    CampaignConfig,
+    run_campaign_groups, run_campaign_groups_with_faults, run_campaign_with_scratch,
+    CampaignAccumulator, CampaignConfig,
 };
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{expand_plan, TaskSpec};
+use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::{Proportion, SamplerMode};
@@ -126,7 +126,8 @@ pub fn detection_experiment_with(
     config: &ExperimentConfig,
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
-    let tasks: Vec<TaskSpec> = expand_plan(plan);
+    // Grouped once per call and shared by every worker's campaigns.
+    let groups: Vec<SpecGroup> = grouped_specs(&expand_plan(plan)).collect();
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -144,7 +145,13 @@ pub fn detection_experiment_with(
         &trial_cfg,
         |rng, _i, acc: &mut CampaignAccumulator| {
             acc.scratch.set_sampler_mode(trial_cfg.sampler);
-            run_campaign_with_scratch(&tasks, campaign, rng, &mut acc.outcome, &mut acc.scratch)
+            run_campaign_groups(
+                groups.iter().copied(),
+                campaign,
+                rng,
+                &mut acc.outcome,
+                &mut acc.scratch,
+            )
         },
         |a, b| a.merge(b),
     );
@@ -168,7 +175,7 @@ pub fn faulty_detection_experiment(
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
     faults.validate().expect("invalid fault model");
-    let tasks: Vec<TaskSpec> = expand_plan(plan);
+    let groups: Vec<SpecGroup> = grouped_specs(&expand_plan(plan)).collect();
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -180,8 +187,8 @@ pub fn faulty_detection_experiment(
         &trial_cfg,
         |rng, _i, acc: &mut CampaignAccumulator| {
             acc.scratch.set_sampler_mode(trial_cfg.sampler);
-            run_campaign_with_faults_scratch(
-                &tasks,
+            run_campaign_groups_with_faults(
+                groups.iter().copied(),
                 campaign,
                 faults,
                 rng,
@@ -317,6 +324,54 @@ mod tests {
         assert_eq!(a.cheats_attempted, b.cheats_attempted);
         assert_eq!(a.cheats_detected, b.cheats_detected);
         assert_eq!(a.wrong_accepted, b.wrong_accepted);
+    }
+
+    #[test]
+    fn grouping_once_equals_grouping_per_campaign() {
+        // `detection_experiment` groups the plan once per call; a
+        // `run_trials` loop over `run_campaign_with_scratch` regroups the
+        // expanded tasks on every campaign.  Both must land on the same
+        // outcome, at either thread count.
+        for (eps, adversary) in [
+            (0.5, AdversaryModel::AssignmentFraction { p: 0.2 }),
+            (0.9, AdversaryModel::AssignmentFraction { p: 0.7 }),
+            (
+                0.75,
+                AdversaryModel::SybilAccounts {
+                    total: 5_000,
+                    adversary: 900,
+                },
+            ),
+        ] {
+            let plan = RealizedPlan::balanced(3_000, eps).unwrap();
+            let tasks = expand_plan(&plan);
+            let campaign = CampaignConfig::new(adversary, CheatStrategy::Always);
+            for threads in [1, 2] {
+                let cfg = ExperimentConfig::new(10, 77).with_threads(threads);
+                let once = detection_experiment_with(&plan, &campaign, &cfg).outcome;
+                let trial_cfg = TrialConfig {
+                    trials: cfg.campaigns,
+                    chunk_size: cfg.chunk_size,
+                    threads,
+                    seed: cfg.seed,
+                    sampler: cfg.sampler,
+                };
+                let per_campaign: CampaignAccumulator = run_trials(
+                    &trial_cfg,
+                    |rng, _i, acc: &mut CampaignAccumulator| {
+                        run_campaign_with_scratch(
+                            &tasks,
+                            &campaign,
+                            rng,
+                            &mut acc.outcome,
+                            &mut acc.scratch,
+                        )
+                    },
+                    |a, b| a.merge(b),
+                );
+                assert_eq!(once, per_campaign.outcome, "ε = {eps}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -75,8 +75,9 @@ pub use churn::{
     ChurnModel, ChurnOutcome, SoakReport,
 };
 pub use engine::{
-    run_campaign, run_campaign_with_faults, run_campaign_with_faults_scratch,
-    run_campaign_with_scratch, CampaignAccumulator, CampaignConfig, CampaignScratch,
+    run_campaign, run_campaign_groups, run_campaign_groups_with_faults, run_campaign_with_faults,
+    run_campaign_with_faults_scratch, run_campaign_with_scratch, CampaignAccumulator,
+    CampaignConfig, CampaignScratch,
 };
 pub use events::EventQueue;
 pub use experiment::{

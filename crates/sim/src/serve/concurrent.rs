@@ -28,12 +28,12 @@
 //!   any number of clients (1/2/4/8/...) and any request schedule at a
 //!   fixed shard count.
 //!
-//! The matching oracle is [`drain_shard_by_shard`]
-//! (ConcurrentStore::drain_shard_by_shard): draining shard 0 to
-//! completion, then shard 1, and so on exercises no concurrency at all,
-//! yet must land in the same final state as any interleaved or
-//! multi-threaded drain.  The serve proptests and the `serve_concurrent`
-//! bench pin this.
+//! The matching oracle is
+//! [`drain_shard_by_shard`](ConcurrentStore::drain_shard_by_shard):
+//! draining shard 0 to completion, then shard 1, and so on exercises no
+//! concurrency at all, yet must land in the same final state as any
+//! interleaved or multi-threaded drain.  The serve proptests and the
+//! `serve_concurrent` bench pin this.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

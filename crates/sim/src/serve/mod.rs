@@ -14,7 +14,7 @@
 //! * [`store`] — the **single-stream** [`AssignmentStore`]: one session
 //!   RNG, centralized dispatch.  A drained session reproduces the batch
 //!   kernel **bit for bit** — same
-//!   [`CampaignOutcome`](crate::CampaignOutcome), same final RNG state —
+//!   [`CampaignOutcome`], same final RNG state —
 //!   under any client interleaving.  This is the
 //!   bit-compat oracle the `ext_serve` snapshots pin; clients serialize
 //!   on one lock.

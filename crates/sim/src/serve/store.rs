@@ -299,7 +299,7 @@ impl ServeStats {
     }
 }
 
-/// The live single-stream assignment store: one [`ShardStore`] over the
+/// The live single-stream assignment store: one `ShardStore` over the
 /// whole workload, drawing from the caller's session RNG.  See the module
 /// docs for the activation/judging contract.
 #[derive(Debug)]
@@ -434,9 +434,10 @@ pub fn drain_session(
 
 /// Monte-Carlo wrapper: run `config.campaigns` independent drained serve
 /// sessions of `plan` under the chunked trial driver — same seeds, same
-/// chunking as [`detection_experiment_with`]
-/// (`crate::experiment::detection_experiment_with`), so the aggregate
-/// outcome must match it bit for bit at any shard or thread count.
+/// chunking as
+/// [`detection_experiment_with`](crate::experiment::detection_experiment_with),
+/// so the aggregate outcome must match it bit for bit at any shard or
+/// thread count.
 pub fn serve_experiment(
     plan: &RealizedPlan,
     campaign: &CampaignConfig,

@@ -179,7 +179,8 @@ fn resolve_threads(requested: usize) -> usize {
 ///   results;
 /// * if a worker panics, the panic is re-raised **once** on the calling
 ///   thread after the remaining workers finish, so the root cause is not
-///   buried under a cascade of secondary panics.
+///   buried under a cascade of secondary panics;
+/// * a zero `config.chunk_size` panics, naming the field.
 ///
 /// ```
 /// use redundancy_stats::parallel::{run_trials, TrialConfig};
@@ -198,9 +199,10 @@ where
     F: Fn(&mut DeterministicRng, u64, &mut A) + Sync,
     M: Fn(&mut A, A),
 {
-    // Debug backstop only: validated configs should never reach here bad,
-    // and CLI-facing callers go through `TrialConfig::validate` first.
-    debug_assert!(config.chunk_size > 0, "chunk_size must be positive");
+    // CLI-facing callers go through `TrialConfig::validate` first; this
+    // one check per call turns a bad library call into a named panic in
+    // release builds too, not a division by zero below.
+    assert!(config.chunk_size > 0, "chunk_size must be positive");
     let n_chunks = config.trials.div_ceil(config.chunk_size);
     let seq = SeedSequence::new(config.seed);
     let threads = config

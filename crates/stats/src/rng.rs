@@ -105,7 +105,26 @@ impl DeterministicRng {
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.uniform_numerator() as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The 53-bit integer `m` behind the next [`Self::uniform`] draw, which
+    /// is exactly `m · 2⁻⁵³`; the cached inversion tables compare it
+    /// against integer CDF thresholds.
+    #[inline]
+    pub(crate) fn uniform_numerator(&mut self) -> u64 {
+        self.next_raw() >> 11
+    }
+
+    /// A generator whose next [`Self::next_raw`] output is `raw`, so tests
+    /// can drive a sampler with a chosen uniform.
+    #[cfg(test)]
+    pub(crate) fn with_next_raw(raw: u64) -> Self {
+        // The output is rotl(s0 + s3, 23) + s0, which is rotl(s3, 23) at
+        // s0 = 0; s1 keeps the state non-zero.
+        DeterministicRng {
+            s: [0, 1, 2, raw.rotate_right(23)],
+        }
     }
 
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
@@ -194,6 +213,17 @@ mod tests {
         ];
         for e in expected {
             assert_eq!(rng.next_raw(), e);
+        }
+    }
+
+    #[test]
+    fn chosen_output_and_uniform_numerator() {
+        for raw in [0, 1 << 11, u64::MAX, 0x0123_4567_89ab_cdef] {
+            assert_eq!(DeterministicRng::with_next_raw(raw).next_raw(), raw);
+            let m = DeterministicRng::with_next_raw(raw).uniform_numerator();
+            assert_eq!(m, raw >> 11);
+            let u = DeterministicRng::with_next_raw(raw).uniform();
+            assert_eq!(u, m as f64 / (1u64 << 53) as f64, "uniform is m·2⁻⁵³");
         }
     }
 

@@ -55,8 +55,8 @@ impl DiscreteAlias {
     /// Build a table over `base ..= base + weights.len() − 1` from
     /// non-negative weights (any positive total; normalisation is
     /// internal).  Returns `None` if the weights are empty, longer than
-    /// [`MAX_ALIAS_LEN`], contain a negative or non-finite value, or sum
-    /// to zero.
+    /// `MAX_ALIAS_LEN`, contain a negative or non-finite value, or sum to
+    /// zero.
     pub fn from_weights(base: u64, weights: &[f64]) -> Option<Self> {
         let n = weights.len();
         if n == 0 || n > MAX_ALIAS_LEN {
@@ -110,7 +110,7 @@ impl DiscreteAlias {
     /// walk uses (mirrored to `q = 1 − p ≤ ½` and reversed, so `p > ½`
     /// stays exact).  Returns `None` for the cases the engine must keep
     /// delegating: degenerate parameters (`n == 0`, `p ∈ {0, 1}` — no
-    /// randomness needed), supports beyond [`MAX_ALIAS_LEN`], and the
+    /// randomness needed), supports beyond `MAX_ALIAS_LEN`, and the
     /// `pmf(0)` underflow that routes the walk to its normal fallback.
     pub fn binomial(n: u64, p: f64) -> Option<Self> {
         assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");

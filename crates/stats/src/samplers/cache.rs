@@ -5,7 +5,9 @@
 //! ringers), so the same `(n, p)` walk is recomputed hundreds of thousands of
 //! times.  [`BinomialCache`] and [`HypergeometricCache`] precompute the
 //! inversion CDF table once per distinct parameter set, turning each draw
-//! into one uniform plus one binary search.
+//! into one uniform plus a short integer search, and a batch of draws from
+//! one parameter set into one branch-free binning pass
+//! ([`PreparedSampler::histogram_into`]).
 //!
 //! **Bit-for-bit contract:** for every parameter set and every RNG state, a
 //! cached draw returns the same value *and consumes the same number of
@@ -17,6 +19,31 @@
 //! underflow fallback) are captured as dedicated plan variants or delegated
 //! to the free function verbatim.  This is what lets the batched engine keep
 //! the golden snapshots byte-identical.
+//!
+//! **Integer thresholds.**  The walk returns the first `k` whose partial
+//! sum `c_k` is not below its uniform `u`, clamped to the end of the
+//! support.  [`DeterministicRng::uniform`] is exactly `u = m · 2⁻⁵³` for the
+//! 53-bit integer `m = next_raw() >> 11`, and for every finite `c ≥ 0`
+//!
+//! ```text
+//! c < m · 2⁻⁵³   ⟺   c · 2⁵³ < m   ⟺   ⌊c · 2⁵³⌋ < m
+//! ```
+//!
+//! The first step is exact because scaling by a power of two is exact in
+//! `f64`; the second holds because an integer exceeds a real exactly when it
+//! exceeds the real's floor.  So a table stores `t_k = ⌊c_k · 2⁵³⌋` as a
+//! `u64` in place of `c_k`, and makes every decision of the `f64` walk in
+//! integers, with no rounding argument and no tolerance.  Each `c_k` adds a
+//! pmf ≥ 0 to the one before, so the sums never decrease (a table build
+//! asserts this, together with finiteness), and neither do the thresholds:
+//! the thresholds below `m` form a prefix, and the walk's stop index is
+//! their number.  The last support point is where the walk clamps, so its
+//! threshold is never stored.
+//!
+//! The same argument bins a batch without a data-dependent branch: counter
+//! `a_k` adds `m > t_k` for every draw, i.e. counts the draws whose stop
+//! index exceeds `k`, so entry `k` receives `a_(k−1) − a_k` of them (with
+//! `a_(−1)` the batch size and the counter past the last threshold 0).
 //!
 //! ```
 //! use redundancy_stats::{BinomialCache, DeterministicRng};
@@ -39,9 +66,19 @@ use crate::special::ln_binomial;
 /// is delegated to the exact free function instead.
 const MAX_TABLE_LEN: usize = 4096;
 
-/// Tables at most this long are searched with a forward linear scan (the
-/// expected stop index is tiny); longer ones use binary search.
+/// Tables with at most this many thresholds compare every threshold on
+/// every draw, with no branch on the drawn value: a batch keeps one
+/// counter per threshold in registers, and a single draw counts the
+/// thresholds below it.  This covers every multiplicity up to 8.
+const NARROW_MAX: usize = 8;
+
+/// Wider tables with at most this many thresholds are searched with a
+/// forward linear scan (the expected stop index is tiny); longer ones use
+/// binary search.
 const LINEAR_SCAN_MAX: usize = 128;
+
+/// `2⁵³`, the denominator of every [`DeterministicRng::uniform`] draw.
+const UNIFORM_DENOMINATOR: f64 = (1u64 << 53) as f64;
 
 /// One prepared sampling strategy for a distinct parameter set.
 #[derive(Debug, Clone)]
@@ -50,13 +87,16 @@ enum Plan {
     /// (binomial `n == 0 || p == 0` → 0, `p == 1` → n; hypergeometric
     /// `draws == 0 || successes == 0` → 0).
     Certain(u64),
-    /// One uniform + binary search over the precomputed partial CDF sums.
-    /// Entry `i` is the CDF at `base + i`; `mirror == Some(n)` means the
-    /// table was built at `1 − p` and the draw is reflected to `n − k`,
-    /// matching [`sample_binomial`]'s `p > ½` recursion.
+    /// One uniform per draw, inverted through integer CDF thresholds (see
+    /// the module docs).  Entry `i` is `⌊cdf_i · 2⁵³⌋` for the partial CDF
+    /// sum at `base + i`, for every support point but the last, where the
+    /// walk clamps; a single-point support has no thresholds and still
+    /// consumes its uniform.  `mirror == Some(n)` means the table was built
+    /// at `1 − p` and the draw is reflected to `n − k`, matching
+    /// [`sample_binomial`]'s `p > ½` recursion.
     Table {
         base: u64,
-        cdf: Box<[f64]>,
+        thresholds: Box<[u64]>,
         mirror: Option<u64>,
     },
     /// Parameter sets the walk handles via fallback (pmf(0) underflow) or
@@ -75,33 +115,42 @@ enum Plan {
 }
 
 impl Plan {
+    /// A table plan from the walk's partial CDF sums over
+    /// `base ..= base + cdf.len() − 1`.
+    ///
+    /// Panics unless the sums are finite, non-negative and non-decreasing:
+    /// the premises of the integer-threshold argument.
+    fn table(base: u64, cdf: &[f64], mirror: Option<u64>) -> Plan {
+        assert!(
+            cdf.iter().all(|c| c.is_finite())
+                && cdf.first().is_some_and(|&c| c >= 0.0)
+                && cdf.windows(2).all(|w| w[0] <= w[1]),
+            "CDF partial sums must be finite, non-negative and non-decreasing"
+        );
+        // `c · 2⁵³` is exact, and for `c ≥ 0` the saturating `as` cast
+        // truncates to the floor.
+        let thresholds = cdf[..cdf.len() - 1]
+            .iter()
+            .map(|&c| (c * UNIFORM_DENOMINATOR) as u64)
+            .collect();
+        Plan::Table {
+            base,
+            thresholds,
+            mirror,
+        }
+    }
+
     #[inline]
     fn sample(&self, rng: &mut DeterministicRng) -> u64 {
         match self {
             Plan::Certain(value) => *value,
-            Plan::Table { base, cdf, mirror } => {
-                let u = rng.uniform();
-                // The inversion walk returns the first `k` with `cdf_k ≥ u`,
-                // clamped to the end of the support — exactly
-                // `partition_point` (first index not `< u`) with the same
-                // clamp.  At campaign parameters the CDF mass is
-                // front-loaded, so most draws stop within the first couple
-                // of entries: a predictable linear scan beats binary
-                // search there; big tables keep the binary search.
-                let idx = if cdf.len() <= LINEAR_SCAN_MAX {
-                    let mut i = 0usize;
-                    while i + 1 < cdf.len() && cdf[i] < u {
-                        i += 1;
-                    }
-                    i
-                } else {
-                    cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-                };
-                let k = base + idx as u64;
-                match mirror {
-                    Some(n) => n - k,
-                    None => k,
-                }
+            Plan::Table {
+                base,
+                thresholds,
+                mirror,
+            } => {
+                let idx = stop_index(thresholds, rng.uniform_numerator());
+                reflect(base + idx as u64, *mirror)
             }
             Plan::DelegateBinomial { n, p } => sample_binomial(rng, *n, *p),
             Plan::DelegateHypergeometric {
@@ -112,6 +161,99 @@ impl Plan {
             Plan::Alias(table) => table.sample(rng),
         }
     }
+
+    fn histogram_into(&self, count: u64, rng: &mut DeterministicRng, bins: &mut [u64]) {
+        match self {
+            Plan::Certain(value) => bins[*value as usize] += count,
+            Plan::Alias(table) => table.multinomial_into(count, rng, bins),
+            Plan::Table {
+                base,
+                thresholds,
+                mirror,
+            } if thresholds.len() <= NARROW_MAX => {
+                let bin = |idx: usize| reflect(base + idx as u64, *mirror) as usize;
+                let t = &thresholds[..];
+                // One arm per narrow width; the guard leaves NARROW_MAX last.
+                match t.len() {
+                    0 => bin_unrolled::<0>(t, count, rng, bin, bins),
+                    1 => bin_unrolled::<1>(t, count, rng, bin, bins),
+                    2 => bin_unrolled::<2>(t, count, rng, bin, bins),
+                    3 => bin_unrolled::<3>(t, count, rng, bin, bins),
+                    4 => bin_unrolled::<4>(t, count, rng, bin, bins),
+                    5 => bin_unrolled::<5>(t, count, rng, bin, bins),
+                    6 => bin_unrolled::<6>(t, count, rng, bin, bins),
+                    7 => bin_unrolled::<7>(t, count, rng, bin, bins),
+                    _ => bin_unrolled::<NARROW_MAX>(t, count, rng, bin, bins),
+                }
+            }
+            // Wider tables and the delegated parameter sets: draw by draw.
+            _ => {
+                for _ in 0..count {
+                    bins[self.sample(rng) as usize] += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Reflect a table value for a mirrored binomial table.
+#[inline]
+fn reflect(k: u64, mirror: Option<u64>) -> u64 {
+    match mirror {
+        Some(n) => n - k,
+        None => k,
+    }
+}
+
+/// The walk's stop index for the uniform `m · 2⁻⁵³`: the number of
+/// thresholds below `m`, which form a prefix.
+#[inline]
+fn stop_index(thresholds: &[u64], m: u64) -> usize {
+    // A narrow table counts every threshold rather than exit the scan on a
+    // branch the drawn value decides, which mispredicts often.  At
+    // campaign parameters the CDF mass is front-loaded, so most draws from
+    // a wider table stop within the first couple of entries: a forward
+    // scan beats binary search there; big tables keep the binary search.
+    if thresholds.len() <= NARROW_MAX {
+        thresholds.iter().map(|&t| usize::from(t < m)).sum()
+    } else if thresholds.len() <= LINEAR_SCAN_MAX {
+        thresholds.iter().take_while(|&&t| t < m).count()
+    } else {
+        thresholds.partition_point(|&t| t < m)
+    }
+}
+
+/// Bin `count` draws from a table of `N` thresholds with one counter per
+/// threshold, held in registers: `above[k]` adds `m > t_k` per draw, so it
+/// counts the draws whose stop index exceeds `k`.  No branch depends on
+/// the drawn value.
+#[inline(always)]
+fn bin_unrolled<const N: usize>(
+    thresholds: &[u64],
+    count: u64,
+    rng: &mut DeterministicRng,
+    bin: impl Fn(usize) -> usize,
+    bins: &mut [u64],
+) {
+    let t: [u64; N] = thresholds.try_into().expect("table width matches N");
+    let mut above = [0u64; N];
+    // A local copy keeps the generator state in registers across the loop.
+    let mut local = rng.clone();
+    for _ in 0..count {
+        let m = local.uniform_numerator();
+        for k in 0..N {
+            above[k] += u64::from(m > t[k]);
+        }
+    }
+    *rng = local;
+    // Draws whose stop index is at least `k`; entry `k` keeps those that
+    // do not go past it.
+    let mut reached = count;
+    for (k, &a) in above.iter().enumerate() {
+        bins[bin(k)] += reached - a;
+        reached = a;
+    }
+    bins[bin(N)] += reached;
 }
 
 /// A resolved plan handle: the id-to-plan lookup hoisted out of the draw
@@ -133,14 +275,34 @@ impl<'a> PreparedSampler<'a> {
         self.plan.sample(rng)
     }
 
+    /// Add the histogram of `count` draws to `bins`: `bins[v]` grows by
+    /// the number of draws equal to `v`.
+    ///
+    /// Every bit-compat plan leaves `rng` and `bins` exactly as `count`
+    /// calls to [`sample`](Self::sample) binned one by one would, while
+    /// doing less work: a degenerate plan fills its one bin in one step
+    /// (drawing nothing, as `sample` does), and a narrow inversion table
+    /// (up to 8 thresholds, which covers every campaign multiplicity up
+    /// to 8) bins its draws branch-free on the integer thresholds of the
+    /// module docs.  Wider tables and the delegated parameter sets bin
+    /// draw by draw.  A [`SamplerMode::Fast`] alias
+    /// table samples the histogram directly as a multinomial
+    /// ([`DiscreteAlias::multinomial_into`]): the same law on its own
+    /// stream.
+    ///
+    /// `bins` must cover the plan's support, `0..=n` for a binomial and
+    /// `0..=min(successes, draws)` for a hypergeometric; indexing past
+    /// its end panics.
+    #[inline]
+    pub fn histogram_into(&self, count: u64, rng: &mut DeterministicRng, bins: &mut [u64]) {
+        self.plan.histogram_into(count, rng, bins);
+    }
+
     /// The underlying alias table, when this plan is a
     /// [`SamplerMode::Fast`] table.
     ///
-    /// Hot loops that draw many times from one prepared sampler use this
-    /// to hoist the plan dispatch out of the loop entirely: the alias
-    /// draw then inlines to one uniform and two array reads.  Returns
-    /// `None` for every bit-compat plan and for the fast-mode parameter
-    /// sets that delegate (degenerate, oversize, underflow).
+    /// Returns `None` for every bit-compat plan and for the fast-mode
+    /// parameter sets that delegate (degenerate, oversize, underflow).
     #[inline]
     pub fn as_alias(&self) -> Option<&'a DiscreteAlias> {
         match self.plan {
@@ -233,11 +395,7 @@ impl BinomialCache {
             acc += pmf;
             cdf.push(acc);
         }
-        Plan::Table {
-            base: 0,
-            cdf: cdf.into_boxed_slice(),
-            mirror,
-        }
+        Plan::table(0, &cdf, mirror)
     }
 
     /// Draw through a plan id returned by [`prepare`](Self::prepare).
@@ -361,11 +519,7 @@ impl HypergeometricCache {
             acc += pmf;
             cdf.push(acc);
         }
-        Plan::Table {
-            base: k_min,
-            cdf: cdf.into_boxed_slice(),
-            mirror: None,
-        }
+        Plan::table(k_min, &cdf, None)
     }
 
     /// Draw through a plan id returned by [`prepare`](Self::prepare).
@@ -458,6 +612,77 @@ mod tests {
             walk_rng, cache_rng,
             "RNG streams diverged for ({total},{successes},{draws})"
         );
+    }
+
+    /// Drive `plan` at the uniforms `m · 2⁻⁵³` that straddle each of its
+    /// thresholds, `m ∈ {t − 1, t, t + 1}`, and compare the single draw and
+    /// a one-draw batch with the `f64` walk on the same uniform.
+    ///
+    /// Random draws land on a threshold with probability ~2⁻⁵³, so only
+    /// chosen uniforms can see an off-by-one in the integer form of the
+    /// walk's `cdf < u` test (a `≤` for a `<`, a ceiling for the floor).
+    fn assert_thresholds_match_walk(
+        plan: &Plan,
+        support: u64,
+        walk: impl Fn(&mut DeterministicRng) -> u64,
+    ) {
+        let Plan::Table { thresholds, .. } = plan else {
+            panic!("expected an inversion table, got {plan:?}");
+        };
+        for &t in thresholds.iter() {
+            for m in [t.wrapping_sub(1), t, t + 1] {
+                if m >= 1 << 53 {
+                    continue;
+                }
+                let at_m = || DeterministicRng::with_next_raw(m << 11);
+                let want = walk(&mut at_m());
+                assert_eq!(
+                    plan.sample(&mut at_m()),
+                    want,
+                    "single draw, m = {m}, t = {t}"
+                );
+                let mut bins = vec![0u64; support as usize + 1];
+                plan.histogram_into(1, &mut at_m(), &mut bins);
+                assert_eq!(bins[want as usize], 1, "batched draw, m = {m}, t = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_like_the_walk_at_every_boundary() {
+        // Narrow (n ≤ 8), scanned and binary-searched (n > 128) widths;
+        // p > ½ builds mirrored tables.
+        for &n in &[1u64, 2, 3, 5, 8, 9, 12, 40, 200] {
+            for &p in &[0.01, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99] {
+                let plan = BinomialCache::build_plan(n, p);
+                assert_thresholds_match_walk(&plan, n, |rng| sample_binomial(rng, n, p));
+            }
+        }
+        for &(total, successes, draws) in &[
+            (10u64, 4u64, 5u64),
+            (20, 8, 15),  // k_min = 3
+            (60, 40, 30), // k_min = 10
+            (100, 30, 12),
+            (100, 1, 99),
+            (1_000, 600, 500), // k_min = 100, 401 entries
+        ] {
+            let plan = HypergeometricCache::build_plan(total, successes, draws);
+            assert_thresholds_match_walk(&plan, successes.min(draws), |rng| {
+                sample_hypergeometric(rng, total, successes, draws)
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn table_build_rejects_decreasing_sums() {
+        Plan::table(0, &[0.5, 0.25, 1.0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn table_build_rejects_non_finite_sums() {
+        Plan::table(0, &[0.5, f64::NAN, 1.0], None);
     }
 
     #[test]
@@ -581,6 +806,23 @@ mod tests {
         let h_fast = hyper.prepare_mode(100, 30, 12, SamplerMode::Fast);
         assert_ne!(h_compat, h_fast);
         assert!(hyper.prepared(h_fast).as_alias().is_some());
+    }
+
+    #[test]
+    fn fast_mode_histogram_is_the_alias_multinomial() {
+        let mut cache = BinomialCache::default();
+        let id = cache.prepare_mode(12, 0.1, SamplerMode::Fast);
+        let table = cache.prepared(id).as_alias().expect("fast plan is alias");
+        let mut a = DeterministicRng::new(31);
+        let mut b = a.clone();
+        let (mut via_plan, mut direct) = (vec![0u64; 13], vec![0u64; 13]);
+        cache
+            .prepared(id)
+            .histogram_into(10_000, &mut a, &mut via_plan);
+        table.multinomial_into(10_000, &mut b, &mut direct);
+        assert_eq!(via_plan, direct);
+        assert_eq!(a, b);
+        assert_eq!(via_plan.iter().sum::<u64>(), 10_000);
     }
 
     #[test]

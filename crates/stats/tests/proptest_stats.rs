@@ -9,9 +9,40 @@ use redundancy_stats::special::{
     binomial, binomial_pmf, hypergeometric_pmf, ln_binomial, ln_factorial,
 };
 use redundancy_stats::{
-    chi_square_test, BinomialCache, DeterministicRng, Histogram, HypergeometricCache, Proportion,
-    RunningMoments, SeedSequence,
+    chi_square_test, BinomialCache, DeterministicRng, Histogram, HypergeometricCache,
+    PreparedSampler, Proportion, RunningMoments, SeedSequence,
 };
+
+/// Batch sizes for the `histogram_into` differential tests: empty, one
+/// draw, a short batch and a campaign-sized one.
+const BATCH_COUNTS: [u64; 4] = [0, 1, 37, 5_000];
+
+/// Bin `count` draws through `histogram_into` and through `count` single
+/// draws on clones of one RNG: the two must add the same histogram to the
+/// same (non-empty) bins and leave the RNG in the same state.
+fn histogram_matches_single_draws(
+    sampler: PreparedSampler<'_>,
+    support: usize,
+    count: u64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut batch_rng = DeterministicRng::new(seed);
+    let mut single_rng = batch_rng.clone();
+    let mut batch: Vec<u64> = (0..support as u64).collect();
+    let mut single = batch.clone();
+    sampler.histogram_into(count, &mut batch_rng, &mut batch);
+    for _ in 0..count {
+        single[sampler.sample(&mut single_rng) as usize] += 1;
+    }
+    prop_assert_eq!(&batch, &single, "histograms differ over {} draws", count);
+    prop_assert_eq!(
+        batch_rng,
+        single_rng,
+        "RNG consumption differs over {} draws",
+        count
+    );
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -101,6 +132,39 @@ proptest! {
         }
         prop_assert_eq!(walk_rng, cache_rng,
             "RNG consumption diverged ({},{},{})", total, successes, draws);
+    }
+
+    /// `histogram_into` on binomial plans equals `count` single draws:
+    /// unrolled (n ≤ 8) and per-draw tables, mirrored tables (p > ½) and
+    /// the degenerate plans.
+    #[test]
+    fn binomial_histogram_matches_single_draws(
+        n in 0u64..48,
+        p_mill in 0u32..=1000,
+        pick in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let mut cache = BinomialCache::default();
+        let id = cache.prepare(n, p_mill as f64 / 1000.0);
+        histogram_matches_single_draws(cache.prepared(id), n as usize + 1, BATCH_COUNTS[pick], seed)?;
+    }
+
+    /// `histogram_into` on hypergeometric plans equals `count` single
+    /// draws, `k_min > 0` supports included.
+    #[test]
+    fn hypergeometric_histogram_matches_single_draws(
+        total in 1u64..120,
+        succ_frac in 0u32..=100,
+        draw_frac in 0u32..=100,
+        pick in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let successes = total * succ_frac as u64 / 100;
+        let draws = total * draw_frac as u64 / 100;
+        let mut cache = HypergeometricCache::default();
+        let id = cache.prepare(total, successes, draws);
+        let support = successes.min(draws) as usize + 1;
+        histogram_matches_single_draws(cache.prepared(id), support, BATCH_COUNTS[pick], seed)?;
     }
 
     /// Hypergeometric samples respect their support bounds.
@@ -305,6 +369,61 @@ proptest! {
             );
         }
     }
+}
+
+/// The plans a random grid rarely reaches: single-entry tables, the
+/// underflow and oversize delegates, degenerate plans and tables wide
+/// enough for the binary search.
+#[test]
+fn histogram_matches_single_draws_on_pinned_plans() {
+    let check = |sampler: PreparedSampler<'_>, support: u64| {
+        for (i, count) in [0u64, 1, 2_000].into_iter().enumerate() {
+            histogram_matches_single_draws(sampler, support as usize + 1, count, 40 + i as u64)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
+    };
+    let mut binomial = BinomialCache::default();
+    for (n, p) in [
+        (0u64, 0.5),
+        (10, 0.0),
+        (10, 1.0),
+        (4_000, 0.5),     // pmf(0) underflows: normal-approximation delegate
+        (4_000, 0.50001), // the same, mirrored
+        (4_097, 0.3),     // oversize delegate
+        (300, 0.4),       // binary-searched table
+        (300, 0.6),       // the same, mirrored
+    ] {
+        let id = binomial.prepare(n, p);
+        check(binomial.prepared(id), n);
+    }
+    let mut hyper = HypergeometricCache::default();
+    let wide = 4_096 + 10;
+    for (total, successes, draws) in [
+        (10u64, 0u64, 5u64),
+        (10, 4, 0),
+        (50, 50, 7),     // single entry at k = 7
+        (200, 120, 200), // single entry at k = 120
+        (1_000, 600, 500),
+        (4 * wide, 2 * wide, 2 * wide), // oversize delegate
+    ] {
+        let id = hyper.prepare(total, successes, draws);
+        check(hyper.prepared(id), successes.min(draws));
+    }
+}
+
+#[test]
+fn single_entry_tables_still_consume_one_uniform_per_draw() {
+    let mut cache = HypergeometricCache::default();
+    let id = cache.prepare(50, 50, 7);
+    let mut rng = DeterministicRng::new(3);
+    let mut expected = rng.clone();
+    let mut bins = vec![0u64; 8];
+    cache.prepared(id).histogram_into(100, &mut rng, &mut bins);
+    for _ in 0..100 {
+        expected.next_raw();
+    }
+    assert_eq!(rng, expected);
+    assert_eq!(bins[7], 100);
 }
 
 #[test]
