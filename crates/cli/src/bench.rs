@@ -18,7 +18,7 @@ use redundancy_core::{AssignmentMinimizing, RealizedPlan};
 use redundancy_json::{num_u64, obj, Json};
 use redundancy_sim::engine::reference;
 use redundancy_sim::outcome::CampaignOutcome;
-use redundancy_sim::task::{expand_plan, grouped_specs, SpecGroup};
+use redundancy_sim::task::{expand_plan, grouped_specs, plan_groups, SpecGroup};
 use redundancy_sim::{
     run_campaign_groups, AdversaryModel, CampaignAccumulator, CampaignConfig, CampaignScratch,
     CheatStrategy, ConcurrentStore, FaultModel, ServeConfig, ServeSession, ServeStats,
@@ -366,7 +366,7 @@ fn run_fixtures(
     // Monte-Carlo driver scaling: identical work at 1, 2, and 4 threads
     // (the outcome is thread-count invariant, so the checksums agree).
     let trials_plan = RealizedPlan::balanced(sizes.trials_tasks, 0.6).map_err(CliError::Core)?;
-    let trials_groups: Vec<SpecGroup> = grouped_specs(&expand_plan(&trials_plan)).collect();
+    let trials_groups = plan_groups(&trials_plan);
     let trials_assignments = trials_plan.total_assignments() * sizes.trials_campaigns;
     for threads in thread_ladder(threads_cap) {
         let trial_cfg = TrialConfig {

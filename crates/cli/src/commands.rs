@@ -7,14 +7,14 @@ use redundancy_core::{
     Requirements, Scheme,
 };
 use redundancy_sim::serve::{
-    epoll, handle_request, parse_journal, read_frame, replay_with, workload_fingerprint,
+    epoll, handle_request, parse_journal, read_frame, replay_groups, workload_fingerprint_groups,
     write_frame, Frame, JournalWriter, JournaledStore, Record, ReplayOptions, Reply, SessionEnd,
     SessionHeader, StoreEnum, SyncPolicy, WorkStore,
 };
-use redundancy_sim::task::TaskSpec;
+use redundancy_sim::task::{plan_groups, SpecGroup};
 use redundancy_sim::{
     churn_experiment, churn_soak, detection_experiment, drain_equivalence,
-    faulty_detection_experiment, run_campaign_with_scratch, serve_connection, serve_readiness_loop,
+    faulty_detection_experiment, run_campaign_groups, serve_connection, serve_readiness_loop,
     AdversaryModel, CampaignConfig, CampaignOutcome, CampaignScratch, CheatStrategy, ChurnModel,
     ConcurrentStore, DrainState, ExperimentConfig, FaultModel, LoopOptions, ServeConfig,
     ServeStats, StreamMode,
@@ -1248,9 +1248,12 @@ fn serve_cmd(
                 .into(),
         ));
     }
-    let specs = redundancy_sim::task::expand_plan(&plan);
+    // The plan's groups, never its expanded task list: start-up is
+    // O(groups), and the store's task limit is checked before anything per
+    // task is allocated.
+    let groups = plan_groups(&plan);
     let (backend, recovery) = make_backend(
-        &specs,
+        &groups,
         &campaign,
         &serve,
         seed,
@@ -1295,7 +1298,7 @@ fn serve_cmd(
         let run = backend.finish(journal.as_deref())?;
         out.push_str(&run.stats.render());
         if let Some(store) = &run.store {
-            append_sharded_oracle_verdict(&mut out, &specs, &campaign, &serve, seed, store);
+            append_sharded_oracle_verdict(&mut out, &groups, &campaign, &serve, seed, store);
             if let Some(path) = &json {
                 write_serve_json(path, &plan, seed, clients, store, run.journal.as_ref())?;
             }
@@ -1321,8 +1324,8 @@ fn serve_cmd(
                 let mut batch_rng = DeterministicRng::new(seed);
                 let mut batch_out = CampaignOutcome::default();
                 let mut scratch = CampaignScratch::new();
-                run_campaign_with_scratch(
-                    &specs,
+                run_campaign_groups(
+                    groups.iter().copied(),
                     &campaign,
                     &mut batch_rng,
                     &mut batch_out,
@@ -1340,7 +1343,7 @@ fn serve_cmd(
                 // The shard-by-shard oracle (the per-shard determinism
                 // contract).
                 let store = run.store.as_ref().expect("per-shard run keeps its store");
-                append_sharded_oracle_verdict(&mut out, &specs, &campaign, &serve, seed, store);
+                append_sharded_oracle_verdict(&mut out, &groups, &campaign, &serve, seed, store);
                 if let Some(path) = &json {
                     write_serve_json(path, &plan, seed, 0, store, run.journal.as_ref())?;
                 }
@@ -1357,7 +1360,7 @@ fn serve_cmd(
 /// when `--recover` replayed an existing journal.
 #[allow(clippy::too_many_arguments)]
 fn make_backend(
-    specs: &[TaskSpec],
+    groups: &[SpecGroup],
     campaign: &CampaignConfig,
     serve: &ServeConfig,
     seed: u64,
@@ -1371,19 +1374,23 @@ fn make_backend(
         // (as it always has); the per-shard store keeps its shard locks.
         let backend = match streams {
             StreamMode::Single => {
-                let store = StoreEnum::new(specs, campaign, serve, seed, streams)
+                let store = StoreEnum::from_groups(groups, campaign, serve, seed, streams)
                     .map_err(CliError::Invalid)?;
                 Backend::Locked(std::sync::Mutex::new(JournaledStore::new(store, None)))
             }
             StreamMode::PerShard => Backend::Concurrent(
-                ConcurrentStore::new(specs, campaign, serve, seed).map_err(CliError::Invalid)?,
+                ConcurrentStore::from_groups(groups, campaign, serve, seed)
+                    .map_err(CliError::Invalid)?,
             ),
         };
         return Ok((backend, None));
     };
     if recover {
-        return recover_backend(specs, campaign, serve, seed, streams, path, sync);
+        return recover_backend(groups, campaign, serve, seed, streams, path, sync);
     }
+    // The store first: a workload it refuses leaves no journal behind.
+    let store = StoreEnum::from_groups(groups, campaign, serve, seed, streams)
+        .map_err(CliError::Invalid)?;
     let file = std::fs::File::create(path)
         .map_err(|e| CliError::Invalid(format!("--journal {path}: {e}")))?;
     let mut writer = JournalWriter::new(file, sync);
@@ -1394,11 +1401,10 @@ fn make_backend(
             mode: streams,
             timeout: serve.faults.timeout,
             max_retries: serve.faults.max_retries,
-            fingerprint: workload_fingerprint(specs, campaign),
-            total_tasks: specs.len() as u64,
+            fingerprint: workload_fingerprint_groups(groups, campaign),
+            total_tasks: groups.iter().map(|g| g.count).sum(),
         }))
         .map_err(|e| CliError::Io(format!("journal {path}: {e}")))?;
-    let store = StoreEnum::new(specs, campaign, serve, seed, streams).map_err(CliError::Invalid)?;
     Ok((
         Backend::Locked(std::sync::Mutex::new(JournaledStore::new(
             store,
@@ -1412,7 +1418,7 @@ fn make_backend(
 /// header against the command line, truncate the tail away, and resume
 /// both the store and the appender from the verified prefix.
 fn recover_backend(
-    specs: &[TaskSpec],
+    groups: &[SpecGroup],
     campaign: &CampaignConfig,
     serve: &ServeConfig,
     seed: u64,
@@ -1423,9 +1429,9 @@ fn recover_backend(
     use std::io::Seek as _;
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Invalid(format!("--journal {path}: {e}")))?;
-    let replayed = replay_with(
+    let replayed = replay_groups(
         &bytes,
-        specs,
+        groups,
         campaign,
         ReplayOptions {
             allow_torn_tail: true,
@@ -1525,13 +1531,13 @@ fn append_journal_tail(
 /// clients interleaved their requests.
 fn append_sharded_oracle_verdict(
     out: &mut String,
-    specs: &[TaskSpec],
+    groups: &[SpecGroup],
     campaign: &CampaignConfig,
     serve: &ServeConfig,
     seed: u64,
     store: &ConcurrentStore,
 ) {
-    let verdict = match ConcurrentStore::new(specs, campaign, serve, seed) {
+    let verdict = match ConcurrentStore::from_groups(groups, campaign, serve, seed) {
         Ok(oracle) => {
             oracle.drain_shard_by_shard();
             let ok = store.merged_outcome() == oracle.merged_outcome()
@@ -2417,13 +2423,13 @@ mod tests {
                 decode_frames(&bytes)
             });
             let plan = build_plan(SchemeName::Balanced, 200, 0.5, None, 0.0).unwrap();
-            let specs = redundancy_sim::task::expand_plan(&plan);
+            let groups = plan_groups(&plan);
             let campaign = CampaignConfig::new(
                 AdversaryModel::AssignmentFraction { p: 0.2 },
                 CheatStrategy::AtLeast { min_copies: 1 },
             );
             let (backend, _) = make_backend(
-                &specs,
+                &groups,
                 &campaign,
                 &ServeConfig::new(2),
                 7,

@@ -97,6 +97,27 @@ fn repro_trials_scale_zero_exits_two_naming_the_flag() {
     assert!(out.stdout.is_empty(), "must not print a report");
 }
 
+/// A workload beyond the store's `u32` task limit is refused with a
+/// structured error before anything per task is allocated and before a
+/// port is bound, in every transport.
+#[test]
+fn serve_beyond_the_task_limit_exits_two_without_serving() {
+    for transport in [&["--port", "0"][..], &["--stdio"][..]] {
+        let mut args = vec!["serve", "--tasks", "5000000000"];
+        args.extend_from_slice(transport);
+        let out = redundancy(&args);
+        assert_eq!(out.status.code(), Some(2), "{transport:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("tasks exceed the store's limit of 4294967295"),
+            "{transport:?}: {stderr}"
+        );
+        assert!(!stderr.contains("serving on"), "{transport:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{transport:?}: must not print");
+    }
+}
+
 /// Send one framed request and read the framed reply.
 #[cfg(target_os = "linux")]
 fn call(stream: &mut std::net::TcpStream, request: &str) -> String {

@@ -1,0 +1,133 @@
+//! Process-level checks of `redundancy serve --stdio`: start-up memory
+//! that does not grow with the task count, and journal bytes pinned
+//! across releases.
+
+use std::io::Write;
+use std::process::{Command, Stdio};
+
+/// One length-prefixed request frame.
+fn frame(request: &str) -> Vec<u8> {
+    let mut bytes = (request.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(request.as_bytes());
+    bytes
+}
+
+/// Read one length-prefixed reply frame.
+#[cfg(target_os = "linux")]
+fn read_reply(r: &mut impl std::io::Read) -> String {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len).unwrap();
+    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
+    r.read_exact(&mut reply).unwrap();
+    String::from_utf8(reply).unwrap()
+}
+
+/// A serve daemon builds its stores from the plan's spec groups, so the
+/// memory it holds before the first request does not grow with the task
+/// count: 20M tasks fit in well under a byte per task.
+#[cfg(target_os = "linux")]
+#[test]
+fn twenty_million_task_stdio_daemon_answers_stats_in_bounded_memory() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args([
+            "serve",
+            "--stdio",
+            "--tasks",
+            "20000000",
+            "--shards",
+            "2",
+            "--streams",
+            "per-shard",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawning the daemon");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    stdin.write_all(&frame("stats")).unwrap();
+    stdin.flush().unwrap();
+    let stats = read_reply(&mut stdout);
+    assert!(stats.contains("tasks-total 20000001\n"), "{stats}");
+    // The daemon is still alive (it has not seen `shutdown`), so its
+    // status file is there to read.
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
+    let hwm_kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in {status}"));
+    stdin.write_all(&frame("shutdown")).unwrap();
+    drop(stdin);
+    assert_eq!(read_reply(&mut stdout), "bye");
+    assert!(child.wait().unwrap().success());
+    assert!(
+        hwm_kb < 32 * 1024,
+        "peak RSS {hwm_kb} kB before the first request over 20M tasks"
+    );
+}
+
+/// Pipe `request-work`, `request-work`, `shutdown` into a journaled stdio
+/// session over 20 tasks and return what `journal-inspect` prints.
+fn scripted_journal(name: &str, mode: &[&str]) -> (String, String) {
+    let path =
+        std::env::temp_dir().join(format!("serve_stdio_{name}_{}.journal", std::process::id()));
+    let path = path.to_str().unwrap().to_string();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(["serve", "--stdio", "--tasks", "20", "--journal", &path])
+        .args(["--sync", "always"])
+        .args(mode)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawning the daemon");
+    let mut stdin = child.stdin.take().unwrap();
+    for request in ["request-work", "request-work", "shutdown"] {
+        stdin.write_all(&frame(request)).unwrap();
+    }
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    let out = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(["journal-inspect", "--journal", &path])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    (path, String::from_utf8(out.stdout).unwrap())
+}
+
+/// The journal bytes of a scripted session, header fingerprint and chain
+/// included, are pinned: a release that changes them cannot recover the
+/// journals earlier releases wrote.
+#[test]
+fn scripted_stdio_journals_are_pinned() {
+    let (path, per_shard) =
+        scripted_journal("per_shard", &["--shards", "2", "--streams", "per-shard"]);
+    assert_eq!(
+        per_shard,
+        format!(
+            "journal {path}: 125 bytes\n\
+             \x20    0  header seed=20050926 shards=2 mode=per-shard timeout=8 retries=3 \
+             tasks=21 fingerprint=0x4f404cba653dbfd6\n\
+             \x20    1  issue task=1 copy=0\n\
+             \x20    2  issue task=0 copy=0\n\
+             \x20    3  shutdown\n\
+             4 records over 125 verified bytes, chain 0xb946af661de0bb9d\n\
+             integrity: intact\n"
+        )
+    );
+    let (path, single) = scripted_journal("single", &[]);
+    assert_eq!(
+        single,
+        format!(
+            "journal {path}: 125 bytes\n\
+             \x20    0  header seed=20050926 shards=1 mode=single timeout=8 retries=3 \
+             tasks=21 fingerprint=0x4f404cba653dbfd6\n\
+             \x20    1  issue task=0 copy=0\n\
+             \x20    2  issue task=1 copy=0\n\
+             \x20    3  shutdown\n\
+             4 records over 125 verified bytes, chain 0x47814418c9bc18f8\n\
+             integrity: intact\n"
+        )
+    );
+}

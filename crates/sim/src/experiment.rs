@@ -8,7 +8,7 @@ use crate::engine::{
 };
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskSpec};
+use crate::task::{plan_groups, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::{Proportion, SamplerMode};
@@ -127,7 +127,7 @@ pub fn detection_experiment_with(
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
     // Grouped once per call and shared by every worker's campaigns.
-    let groups: Vec<SpecGroup> = grouped_specs(&expand_plan(plan)).collect();
+    let groups = plan_groups(plan);
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -175,7 +175,7 @@ pub fn faulty_detection_experiment(
 ) -> DetectionEstimate {
     campaign.validate().expect("invalid campaign configuration");
     faults.validate().expect("invalid fault model");
-    let groups: Vec<SpecGroup> = grouped_specs(&expand_plan(plan)).collect();
+    let groups = plan_groups(plan);
     let trial_cfg = TrialConfig {
         trials: config.campaigns,
         chunk_size: config.chunk_size,
@@ -276,6 +276,7 @@ pub fn sampled_detection_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::expand_plan;
 
     #[test]
     fn balanced_empirical_matches_proposition3() {
@@ -328,7 +329,7 @@ mod tests {
 
     #[test]
     fn grouping_once_equals_grouping_per_campaign() {
-        // `detection_experiment` groups the plan once per call; a
+        // `detection_experiment` takes the plan's groups once per call; a
         // `run_trials` loop over `run_campaign_with_scratch` regroups the
         // expanded tasks on every campaign.  Both must land on the same
         // outcome, at either thread count.

@@ -92,14 +92,16 @@ pub use rounds::{
     run_platform, run_platform_with_faults, PlatformConfig, PlatformHistory, RoundReport,
 };
 pub use serve::{
-    assert_drain_equivalent, drain_equivalence, drain_session, parse_journal, replay, replay_with,
-    serve_connection, serve_experiment, serve_readiness_loop, workload_fingerprint,
-    AssignmentStore, ConcurrentStore, DrainState, JournalError, JournalSink, JournalWriter,
-    JournaledStore, LoopOptions, ParsedJournal, Record, ReplayOptions, Replayed, ServeConfig,
-    ServeSession, ServeStats, SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy,
-    WorkStore,
+    assert_drain_equivalent, drain_equivalence, drain_session, parse_journal, replay,
+    replay_groups, replay_with, serve_connection, serve_experiment, serve_readiness_loop,
+    workload_fingerprint, workload_fingerprint_groups, AssignmentStore, ConcurrentStore,
+    DrainState, JournalError, JournalSink, JournalWriter, JournaledStore, LoopOptions,
+    ParsedJournal, Record, ReplayOptions, Replayed, ServeConfig, ServeSession, ServeStats,
+    SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy, WorkStore,
 };
 pub use supervisor::Supervisor;
 pub use survival::{survival_experiment, survival_experiment_with, SurvivalOutcome};
-pub use task::{correct_result, grouped_specs, ResultValue, SpecGroup, TaskId, TaskSpec};
+pub use task::{
+    correct_result, grouped_specs, plan_groups, ResultValue, SpecGroup, TaskId, TaskSpec,
+};
 pub use two_phase::{two_phase_trial, TwoPhaseConfig, TwoPhaseOutcome};

@@ -8,15 +8,23 @@
 //! strong determinism contract:
 //!
 //! * **Per-shard locking.**  Task ids are partitioned over `shards` by an
-//!   FNV-1a id hash, computed once when the store is built.  Each shard is
-//!   the same shard state machine the single-stream store runs (`serve::
-//!   shard`), behind its own [`Mutex`]: its free-list (timeout re-queue),
-//!   tick clock, flat task arena, partial [`CampaignOutcome`], and
-//!   counters.  [`request_work`](ConcurrentStore::request_work) routes via
-//!   a round-robin cursor and touches one shard's lock at a time, and
+//!   FNV-1a id hash.  Each shard is the same shard state machine the
+//!   single-stream store runs (`serve::shard`), behind its own [`Mutex`]:
+//!   its free-list (timeout re-queue), tick clock, flat task arena,
+//!   partial [`CampaignOutcome`], and counters.
+//!   [`request_work`](ConcurrentStore::request_work) routes via a
+//!   round-robin cursor and touches one shard's lock at a time, and
 //!   [`return_result`](ConcurrentStore::return_result) locks exactly the
 //!   owning shard and indexes the task's slot directly.  [`ServeStats`] is
 //!   aggregated from the per-shard cells on demand.
+//!
+//! * **O(groups) construction.**  The store is built from the plan's spec
+//!   groups ([`from_groups`](ConcurrentStore::from_groups)) and hashes no
+//!   id up front: a shard hashes an id when its activation walk reaches
+//!   it.  The session totals come from the workload, so the `stats` verb
+//!   is O(shards); a shard's own ownership totals, which only the
+//!   per-shard cells and `is_drained` need, are counted on first use and
+//!   cached.
 //!
 //! * **Per-shard RNG streams.**  Shard `s` draws every activation from
 //!   `DeterministicRng::new(SeedSequence::new(seed).derive(s))` and
@@ -44,7 +52,7 @@ use super::store::{Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{TaskId, TaskSpec};
+use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_stats::{DeterministicRng, SeedSequence};
 
 /// Which RNG-stream discipline a serve session runs under.
@@ -123,34 +131,43 @@ pub struct ConcurrentStore {
 
 impl ConcurrentStore {
     /// Build a store over `tasks` (contiguous ids, as
-    /// [`expand_plan`](crate::task::expand_plan) produces), with shard
-    /// `s`'s stream seeded from `SeedSequence::new(seed).derive(s)`.
+    /// [`expand_plan`](crate::task::expand_plan) produces): groups them
+    /// and calls [`from_groups`](Self::from_groups).
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
         serve: &ServeConfig,
         seed: u64,
     ) -> Result<Self, String> {
+        Self::from_groups(
+            &grouped_specs(tasks).collect::<Vec<_>>(),
+            config,
+            serve,
+            seed,
+        )
+    }
+
+    /// Build a store over the spec groups `groups` (contiguous ids, as
+    /// [`plan_groups`](crate::task::plan_groups) produces), with shard
+    /// `s`'s stream seeded from `SeedSequence::new(seed).derive(s)`.  The
+    /// work is O(groups + shards); the store's task limit is checked
+    /// before anything per task is allocated.
+    pub fn from_groups(
+        groups: &[SpecGroup],
+        config: &CampaignConfig,
+        serve: &ServeConfig,
+        seed: u64,
+    ) -> Result<Self, String> {
         config.validate()?;
         serve.validate()?;
-        let workload = Arc::new(Workload::new(tasks, config)?);
-        let mut owned = vec![(0u64, 0u64); serve.shards];
-        for g in workload.groups() {
-            for id in g.first_id.0..g.first_id.0 + g.count {
-                let cell = &mut owned[shard_of(id, serve.shards)];
-                cell.0 += 1;
-                cell.1 += u64::from(g.multiplicity);
-            }
-        }
+        let workload = Arc::new(Workload::new(groups, config)?);
         let total = workload.total_tasks() as usize;
         // SAFETY: an all-zero bit pattern is a valid `AtomicU32` (it has
         // the in-memory representation of `u32`).
         let slots = unsafe { Box::<[AtomicU32]>::new_zeroed_slice(total).assume_init() };
         let seq = SeedSequence::new(seed);
-        let shards = owned
-            .into_iter()
-            .enumerate()
-            .map(|(s, owned)| {
+        let shards = (0..serve.shards)
+            .map(|s| {
                 // The session is one campaign; the counter lives on shard
                 // 0 and surfaces through the merged outcome.
                 let campaigns = u64::from(s == 0);
@@ -160,13 +177,7 @@ impl ConcurrentStore {
                 };
                 Shard {
                     locked: Mutex::new(Locked {
-                        store: ShardStore::new(
-                            Arc::clone(&workload),
-                            serve,
-                            owner,
-                            owned,
-                            campaigns,
-                        ),
+                        store: ShardStore::new(Arc::clone(&workload), serve, owner, campaigns),
                         rng: DeterministicRng::new(seq.derive(s as u64)),
                     }),
                     timeouts: AtomicU64::new(0),
@@ -269,15 +280,20 @@ impl ConcurrentStore {
         }
     }
 
-    /// The live session snapshot: the field-wise sum of the per-shard
-    /// stats cells (each shard is locked once, in order).
+    /// The live session snapshot: the workload's totals, plus the
+    /// field-wise sum of the per-shard counters (each shard is locked
+    /// once, in order).  The shards' ownership totals tile the workload,
+    /// so this equals summing the per-shard cells, without counting them.
     pub fn stats(&self) -> ServeStats {
-        let mut total = ServeStats::default();
-        for cell in self.per_shard_stats() {
-            total.total_tasks += cell.total_tasks;
+        let mut total = ServeStats {
+            total_tasks: self.workload.total_tasks(),
+            total_copies: self.workload.total_copies(),
+            ..ServeStats::default()
+        };
+        for s in 0..self.shards.len() {
+            let cell = self.lock(s).store.counters();
             total.activated_tasks += cell.activated_tasks;
             total.completed_tasks += cell.completed_tasks;
-            total.total_copies += cell.total_copies;
             total.issued += cell.issued;
             total.returned += cell.returned;
             total.in_flight += cell.in_flight;
@@ -294,7 +310,9 @@ impl ConcurrentStore {
         total
     }
 
-    /// Each shard's own stats cell, scoped to the slice it owns.
+    /// Each shard's own stats cell, scoped to the slice it owns.  The
+    /// first call counts each shard's ownership totals (see the module
+    /// docs); later calls reuse them.
     pub fn per_shard_stats(&self) -> Vec<ServeStats> {
         (0..self.shards.len())
             .map(|s| self.lock(s).store.stats())

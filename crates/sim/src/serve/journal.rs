@@ -43,7 +43,7 @@ use super::{StoreEnum, WorkStore};
 use crate::engine::CampaignConfig;
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{grouped_specs, TaskId, TaskSpec};
+use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_stats::DeterministicRng;
 
 /// Magic bytes opening every journal's header record.
@@ -78,8 +78,16 @@ fn chain_next(prev: u64, payload: &[u8]) -> u64 {
 /// FNV-1a over the workload shape (grouped task specs) and the campaign
 /// configuration — stamped into the session header so a journal cannot be
 /// replayed against a different workload without a structured
-/// [`JournalError::WorkloadMismatch`].
+/// [`JournalError::WorkloadMismatch`].  Groups `tasks` and calls
+/// [`workload_fingerprint_groups`].
 pub fn workload_fingerprint(tasks: &[TaskSpec], campaign: &CampaignConfig) -> u64 {
+    workload_fingerprint_groups(&grouped_specs(tasks).collect::<Vec<_>>(), campaign)
+}
+
+/// [`workload_fingerprint`] over the workload's maximal spec groups (as
+/// [`plan_groups`](crate::task::plan_groups) and
+/// [`grouped_specs`] produce them), in O(groups).
+pub fn workload_fingerprint_groups(groups: &[SpecGroup], campaign: &CampaignConfig) -> u64 {
     let mut h = FNV_BASIS;
     let mut fold = |v: u64| {
         for b in v.to_le_bytes() {
@@ -87,7 +95,7 @@ pub fn workload_fingerprint(tasks: &[TaskSpec], campaign: &CampaignConfig) -> u6
             h = h.wrapping_mul(FNV_PRIME);
         }
     };
-    for g in grouped_specs(tasks) {
+    for g in groups {
         fold(g.first_id.0);
         fold(g.count);
         fold(u64::from(g.multiplicity));
@@ -957,15 +965,33 @@ pub fn replay(
 }
 
 /// [`replay`] with explicit tail handling (see [`ReplayOptions`]).
+/// Groups `tasks` and calls [`replay_groups`].
 pub fn replay_with(
     bytes: &[u8],
     tasks: &[TaskSpec],
     campaign: &CampaignConfig,
     opts: ReplayOptions,
 ) -> Result<Replayed, JournalError> {
+    replay_groups(
+        bytes,
+        &grouped_specs(tasks).collect::<Vec<_>>(),
+        campaign,
+        opts,
+    )
+}
+
+/// [`replay_with`] against the workload's maximal spec groups (as
+/// [`plan_groups`](crate::task::plan_groups) produces them): the store
+/// is rebuilt in O(groups).
+pub fn replay_groups(
+    bytes: &[u8],
+    groups: &[SpecGroup],
+    campaign: &CampaignConfig,
+    opts: ReplayOptions,
+) -> Result<Replayed, JournalError> {
     let parsed = parse_journal(bytes, opts)?;
     let header = parsed.header;
-    let found = workload_fingerprint(tasks, campaign);
+    let found = workload_fingerprint_groups(groups, campaign);
     if found != header.fingerprint {
         return Err(JournalError::WorkloadMismatch {
             expected: header.fingerprint,
@@ -980,7 +1006,7 @@ pub fn replay_with(
             ..FaultModel::none()
         },
     };
-    let mut store = StoreEnum::new(tasks, campaign, &serve, header.seed, header.mode)
+    let mut store = StoreEnum::from_groups(groups, campaign, &serve, header.seed, header.mode)
         .map_err(|detail| JournalError::BadRecord { index: 0, detail })?;
     // The `(timeouts, lost)` deltas the next tick must reproduce.
     let mut pending: Option<(u64, u64)> = None;

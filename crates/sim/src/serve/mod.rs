@@ -29,6 +29,18 @@
 //! Both run the same shard state machine over a flat task arena: one
 //! machine over the whole workload, or one per shard.
 //!
+//! Stores are built from a plan's spec groups
+//! ([`plan_groups`](crate::task::plan_groups)) through the `from_groups`
+//! constructors, [`workload_fingerprint_groups`] and [`replay_groups`],
+//! which is how `redundancy serve` builds them in every mode: start-up
+//! does O(groups) work and holds O(groups) memory before the first
+//! request, and the store's `u32` task limit is checked before anything
+//! per task is allocated.  Task state appears only as tasks activate, and
+//! a hash shard counts the tasks it owns only when asked for its own
+//! stats cell.  The `&[TaskSpec]` entry points ([`ConcurrentStore::new`],
+//! [`ServeSession::new`], [`StoreEnum::new`], [`workload_fingerprint`],
+//! [`replay_with`]) group their input once and call the groups path.
+//!
 //! [`epoll`] supplies the Linux readiness-loop transport both TCP serve
 //! modes run on (with the threaded loop kept as the portable fallback),
 //! and [`journal`] layers an append-only, checksummed event log over any
@@ -45,9 +57,9 @@ pub mod store;
 pub use concurrent::{ConcurrentStore, StreamMode};
 pub use epoll::{serve_readiness_loop, LoopOptions};
 pub use journal::{
-    parse_journal, replay, replay_with, workload_fingerprint, JournalError, JournalSink,
-    JournalWriter, JournaledStore, ParsedJournal, Record, ReplayOptions, Replayed, SessionHeader,
-    SharedBuf, SyncPolicy,
+    parse_journal, replay, replay_groups, replay_with, workload_fingerprint,
+    workload_fingerprint_groups, JournalError, JournalSink, JournalWriter, JournaledStore,
+    ParsedJournal, Record, ReplayOptions, Replayed, SessionHeader, SharedBuf, SyncPolicy,
 };
 pub use protocol::{
     decode_frames, handle_request, read_frame, read_frame_into, script_frames, serve_connection,
@@ -60,7 +72,7 @@ pub use store::{
 
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{TaskId, TaskSpec};
+use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_stats::DeterministicRng;
 
 /// Everything a serve transport or driver needs from a live store: the
@@ -145,7 +157,8 @@ pub enum StoreEnum {
 }
 
 impl StoreEnum {
-    /// Build the store flavor `mode` selects over `tasks`.
+    /// Build the store flavor `mode` selects over `tasks`: groups them and
+    /// calls [`from_groups`](Self::from_groups).
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
@@ -153,10 +166,30 @@ impl StoreEnum {
         seed: u64,
         mode: StreamMode,
     ) -> Result<Self, String> {
+        Self::from_groups(
+            &grouped_specs(tasks).collect::<Vec<_>>(),
+            config,
+            serve,
+            seed,
+            mode,
+        )
+    }
+
+    /// Build the store flavor `mode` selects over the spec groups
+    /// `groups`, in O(groups).
+    pub fn from_groups(
+        groups: &[SpecGroup],
+        config: &CampaignConfig,
+        serve: &ServeConfig,
+        seed: u64,
+        mode: StreamMode,
+    ) -> Result<Self, String> {
         Ok(match mode {
-            StreamMode::Single => StoreEnum::Single(ServeSession::new(tasks, config, serve, seed)?),
+            StreamMode::Single => {
+                StoreEnum::Single(ServeSession::from_groups(groups, config, serve, seed)?)
+            }
             StreamMode::PerShard => {
-                StoreEnum::PerShard(ConcurrentStore::new(tasks, config, serve, seed)?)
+                StoreEnum::PerShard(ConcurrentStore::from_groups(groups, config, serve, seed)?)
             }
         })
     }

@@ -50,7 +50,7 @@ use super::store::{AssignmentStore, Issue, ReturnAck, ServeConfig, ServeError, S
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{TaskId, TaskSpec};
+use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_stats::DeterministicRng;
 
 /// Maximum frame payload, in bytes.  Requests are one short line and the
@@ -284,15 +284,32 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// A fresh session over `tasks`, seeded deterministically.
+    /// A fresh session over `tasks`, seeded deterministically: groups them
+    /// and calls [`from_groups`](Self::from_groups).
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
         serve: &ServeConfig,
         seed: u64,
     ) -> Result<Self, String> {
+        Self::from_groups(
+            &grouped_specs(tasks).collect::<Vec<_>>(),
+            config,
+            serve,
+            seed,
+        )
+    }
+
+    /// A fresh session over the spec groups `groups`, seeded
+    /// deterministically, in O(groups).
+    pub fn from_groups(
+        groups: &[SpecGroup],
+        config: &CampaignConfig,
+        serve: &ServeConfig,
+        seed: u64,
+    ) -> Result<Self, String> {
         Ok(ServeSession {
-            store: AssignmentStore::new(tasks, config, serve)?,
+            store: AssignmentStore::from_groups(groups, config, serve)?,
             rng: DeterministicRng::new(seed),
             reply_buf: String::new(),
         })

@@ -9,6 +9,17 @@
 //! [`FaultModel`](crate::faults::FaultModel) retry policy), and judges a
 //! task the moment its last copy returns or is abandoned.
 //!
+//! # Construction is O(groups)
+//!
+//! The [`Workload`] is built from the plan's spec groups
+//! ([`plan_groups`](crate::task::plan_groups)), never from an expanded task
+//! list, and a shard allocates nothing per task until it activates one.  A
+//! hash shard's ownership totals (its stats cell's `total_tasks` and
+//! `total_copies`, and with them `is_drained`) are counted the first time
+//! they are asked for and cached: the walked prefix is already in the
+//! arena, so only the ids the activation walk has not reached are hashed,
+//! and a shard whose walk is done counts nothing at all.
+//!
 //! # Bit-identity with the batch kernel
 //!
 //! Activation consumes the RNG in exactly the order
@@ -40,7 +51,7 @@
 //! than twice the in-flight copies (plus [`INFLIGHT_SLACK`]).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::store::{Assignment, Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
 use crate::adversary::AdversaryModel;
@@ -48,8 +59,7 @@ use crate::engine::{judge_task, CampaignConfig};
 use crate::outcome::CampaignOutcome;
 use crate::supervisor::Supervisor;
 use crate::task::{
-    colluded_wrong_result, correct_result, faulty_result, grouped_specs, ResultValue, SpecGroup,
-    TaskId, TaskSpec,
+    colluded_wrong_result, correct_result, faulty_result, ResultValue, SpecGroup, TaskId, TaskSpec,
 };
 use redundancy_stats::{BinomialCache, DeterministicRng, HypergeometricCache};
 
@@ -129,17 +139,17 @@ pub(crate) struct Workload {
 }
 
 impl Workload {
-    /// Group `tasks` (contiguous ids, as
-    /// [`expand_plan`](crate::task::expand_plan) produces) and prepare
-    /// each group's holdings plan.
-    pub(crate) fn new(tasks: &[TaskSpec], config: &CampaignConfig) -> Result<Self, String> {
+    /// Check `groups` (contiguous ids, as
+    /// [`plan_groups`](crate::task::plan_groups) produces) against the
+    /// store's limits and prepare each group's holdings plan, in O(groups).
+    pub(crate) fn new(groups: &[SpecGroup], config: &CampaignConfig) -> Result<Self, String> {
         let mut binomial = BinomialCache::default();
         let mut hypergeometric = HypergeometricCache::default();
-        let mut groups = Vec::new();
-        let base_id = tasks.first().map_or(0, |t| t.id.0);
+        let mut plans = Vec::with_capacity(groups.len());
+        let base_id = groups.first().map_or(0, |g| g.first_id.0);
         let mut expected = base_id;
         let mut total_copies = 0u64;
-        for group in grouped_specs(tasks) {
+        for &group in groups {
             if group.multiplicity == 0 {
                 return Err(format!("task {} has multiplicity 0", group.first_id.0));
             }
@@ -163,7 +173,7 @@ impl Workload {
                     hypergeometric.prepare(total as u64, adversary as u64, mult.min(total as u64)),
                 ),
             };
-            groups.push(GroupPlan {
+            plans.push(GroupPlan {
                 group,
                 end: expected - base_id,
                 plan,
@@ -179,7 +189,7 @@ impl Workload {
         Ok(Workload {
             config: *config,
             supervisor: Supervisor::new(config.policy),
-            groups,
+            groups: plans,
             binomial,
             hypergeometric,
             base_id,
@@ -205,11 +215,6 @@ impl Workload {
             .checked_sub(self.base_id)
             .filter(|&i| i < self.total_tasks)
             .map(|i| i as usize)
-    }
-
-    /// The spec groups, in id order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = &SpecGroup> + '_ {
-        self.groups.iter().map(|g| &g.group)
     }
 }
 
@@ -261,8 +266,9 @@ pub(crate) struct ShardStore {
     max_retries: u32,
     errorful: bool,
     owner: Owner,
-    owned_tasks: u64,
-    owned_copies: u64,
+    /// `(tasks, copies)` a hash shard owns, counted on first use (see
+    /// the module docs).
+    owned: OnceLock<(u64, u64)>,
     /// The activation walk: the next workload index to consider, and the
     /// group it falls in.
     cursor: u64,
@@ -287,14 +293,13 @@ pub(crate) struct ShardStore {
 }
 
 impl ShardStore {
-    /// A shard over the `owned_tasks` tasks `owner` owns, holding
-    /// `owned_copies` copies in total.  Its outcome starts at `campaigns`
-    /// campaigns: a store counts its one campaign on exactly one shard.
+    /// A shard over the tasks `owner` owns.  Its outcome starts at
+    /// `campaigns` campaigns: a store counts its one campaign on exactly
+    /// one shard.
     pub(crate) fn new(
         workload: Arc<Workload>,
         serve: &ServeConfig,
         owner: Owner,
-        (owned_tasks, owned_copies): (u64, u64),
         campaigns: u64,
     ) -> Self {
         ShardStore {
@@ -303,8 +308,7 @@ impl ShardStore {
             errorful: workload.config.honest_error_rate > 0.0,
             workload,
             owner,
-            owned_tasks,
-            owned_copies,
+            owned: OnceLock::new(),
             cursor: 0,
             group: 0,
             active: None,
@@ -329,7 +333,31 @@ impl ShardStore {
 
     /// True once every task this shard owns has been judged.
     pub(crate) fn is_drained(&self) -> bool {
-        self.completed == self.owned_tasks
+        self.completed == self.owned().0
+    }
+
+    /// `(tasks, copies)` this shard owns: the workload's totals for the
+    /// single-stream store, counted once and cached for a hash shard.
+    fn owned(&self) -> (u64, u64) {
+        let w = &*self.workload;
+        match self.owner {
+            Owner::All => (w.total_tasks, w.total_copies),
+            Owner::Shard { .. } => *self.owned.get_or_init(|| {
+                // The walk has activated exactly the owned ids below the
+                // cursor; hash only the ids it has not reached.
+                let mut owned = (self.tasks.len() as u64, self.copies.len() as u64);
+                for g in &w.groups {
+                    let start = (g.end - g.group.count).max(self.cursor);
+                    for index in start..g.end {
+                        if self.owner.owns(w.base_id + index) {
+                            owned.0 += 1;
+                            owned.1 += u64::from(g.group.multiplicity);
+                        }
+                    }
+                }
+                owned
+            }),
+        }
     }
 
     /// The workload this shard walks.
@@ -429,11 +457,22 @@ impl ShardStore {
     /// This shard's stats cell, scoped to the slice of the workload it
     /// owns.
     pub(crate) fn stats(&self) -> ServeStats {
+        let (total_tasks, total_copies) = self.owned();
         ServeStats {
-            total_tasks: self.owned_tasks,
+            total_tasks,
+            total_copies,
+            ..self.counters()
+        }
+    }
+
+    /// This shard's stats cell without its ownership totals (left at
+    /// zero), which cost nothing to read.
+    pub(crate) fn counters(&self) -> ServeStats {
+        ServeStats {
+            total_tasks: 0,
             activated_tasks: self.tasks.len() as u64,
             completed_tasks: self.completed,
-            total_copies: self.owned_copies,
+            total_copies: 0,
             issued: self.issued,
             returned: self.returned,
             in_flight: self.in_flight,

@@ -7,8 +7,8 @@
 //! copies are tracked in flight with tick-based timeouts (reusing the
 //! [`FaultModel`] retry policy), and a task is judged the moment its last
 //! copy returns or is abandoned.  The Balanced/S_m multiplicity mix is
-//! maintained incrementally: the activation cursor walks the
-//! [`grouped_specs`](crate::task::grouped_specs) runs in task-id order,
+//! maintained incrementally: the activation cursor walks the plan's spec
+//! groups ([`plan_groups`](crate::task::plan_groups)) in task-id order,
 //! so the multiset of multiplicities handed out is — at every moment — a
 //! prefix of the exact mix the batch kernel would deal.
 //!
@@ -41,7 +41,7 @@ use crate::engine::CampaignConfig;
 use crate::experiment::{DetectionEstimate, ExperimentConfig};
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
-use crate::task::{expand_plan, TaskId, TaskSpec};
+use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
 use redundancy_stats::DeterministicRng;
@@ -310,19 +310,30 @@ pub struct AssignmentStore {
 
 impl AssignmentStore {
     /// Build a store over `tasks` (contiguous ids, as [`expand_plan`]
-    /// produces) for one campaign.
+    /// produces) for one campaign: groups them and calls
+    /// [`from_groups`](Self::from_groups).
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
         serve: &ServeConfig,
     ) -> Result<Self, String> {
+        Self::from_groups(&grouped_specs(tasks).collect::<Vec<_>>(), config, serve)
+    }
+
+    /// Build a store over the spec groups `groups` (contiguous ids, as
+    /// [`plan_groups`](crate::task::plan_groups) produces) for one
+    /// campaign, in O(groups).
+    pub fn from_groups(
+        groups: &[SpecGroup],
+        config: &CampaignConfig,
+        serve: &ServeConfig,
+    ) -> Result<Self, String> {
         config.validate()?;
         serve.validate()?;
-        let workload = Arc::new(Workload::new(tasks, config)?);
-        let owned = (workload.total_tasks(), workload.total_copies());
+        let workload = Arc::new(Workload::new(groups, config)?);
         Ok(AssignmentStore {
             shards: serve.shards,
-            store: ShardStore::new(workload, serve, Owner::All, owned, 1),
+            store: ShardStore::new(workload, serve, Owner::All, 1),
         })
     }
 

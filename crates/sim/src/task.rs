@@ -53,6 +53,11 @@ pub struct TaskSpec {
     pub precomputed: bool,
 }
 
+/// True for partitions whose answers the supervisor knows in advance.
+fn is_precomputed(kind: PartitionKind) -> bool {
+    matches!(kind, PartitionKind::Ringer | PartitionKind::Verified)
+}
+
 /// Expand a [`RealizedPlan`] into concrete task specs.
 ///
 /// Task ids are assigned contiguously in partition order, so the expansion
@@ -61,7 +66,7 @@ pub fn expand_plan(plan: &RealizedPlan) -> Vec<TaskSpec> {
     let mut specs = Vec::with_capacity((plan.n_tasks() + plan.ringer_tasks()) as usize);
     let mut next_id = 0u64;
     for p in plan.partitions() {
-        let precomputed = matches!(p.kind, PartitionKind::Ringer | PartitionKind::Verified);
+        let precomputed = is_precomputed(p.kind);
         for _ in 0..p.tasks {
             specs.push(TaskSpec {
                 id: TaskId(next_id),
@@ -118,6 +123,34 @@ pub fn grouped_specs(specs: &[TaskSpec]) -> impl Iterator<Item = SpecGroup> + '_
         start = end;
         Some(group)
     })
+}
+
+/// A plan's spec groups, straight from its partitions: exactly
+/// `grouped_specs(&expand_plan(plan))`, without expanding the plan.
+///
+/// Adjacent partitions of the same shape merge into one group whatever
+/// their [`PartitionKind`]s, and empty partitions vanish, so the work and
+/// memory are O(partitions) however many tasks the plan holds.
+pub fn plan_groups(plan: &RealizedPlan) -> Vec<SpecGroup> {
+    let mut groups: Vec<SpecGroup> = Vec::new();
+    let mut next_id = 0u64;
+    for p in plan.partitions().iter().filter(|p| p.tasks > 0) {
+        let multiplicity = p.multiplicity as u32;
+        let precomputed = is_precomputed(p.kind);
+        match groups.last_mut() {
+            Some(g) if g.multiplicity == multiplicity && g.precomputed == precomputed => {
+                g.count += p.tasks;
+            }
+            _ => groups.push(SpecGroup {
+                first_id: TaskId(next_id),
+                count: p.tasks,
+                multiplicity,
+                precomputed,
+            }),
+        }
+        next_id += p.tasks;
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -231,5 +264,83 @@ mod tests {
         let groups: Vec<SpecGroup> = grouped_specs(&specs).collect();
         assert_eq!(groups.len(), 2);
         assert_eq!(flatten(groups.into_iter()), specs);
+    }
+
+    /// A plan whose adjacent partitions share a shape under different
+    /// kinds, with an empty partition between two of them.
+    fn hand_built_plan() -> RealizedPlan {
+        redundancy_json::from_str(
+            r#"{"scheme": "hand-built", "n_tasks": 18, "epsilon": 0.5, "partitions": [
+                {"multiplicity": 1, "tasks": 4, "kind": "Normal"},
+                {"multiplicity": 1, "tasks": 3, "kind": "Tail"},
+                {"multiplicity": 2, "tasks": 0, "kind": "Normal"},
+                {"multiplicity": 1, "tasks": 2, "kind": "Normal"},
+                {"multiplicity": 3, "tasks": 5, "kind": "Verified"},
+                {"multiplicity": 3, "tasks": 1, "kind": "Ringer"},
+                {"multiplicity": 3, "tasks": 4, "kind": "Normal"}
+            ]}"#,
+        )
+        .unwrap()
+    }
+
+    /// Every plan shape the CLI and the exhibits build, and the hand-built
+    /// one.
+    fn plans() -> Vec<RealizedPlan> {
+        use redundancy_core::{AssignmentMinimizing, ExtendedBalanced};
+        let extended = |n: u64, eps: f64, m: usize| {
+            let ext = ExtendedBalanced::new(n, eps, m).unwrap();
+            RealizedPlan::from_ideal_weights("extended-balanced", n, eps, |i| ext.ideal_weight(i))
+                .unwrap()
+        };
+        let minimizing = AssignmentMinimizing::solve(5_000, 0.5, 6).unwrap();
+        vec![
+            RealizedPlan::balanced(10_000, 0.75).unwrap(),
+            RealizedPlan::balanced(200_000, 0.5).unwrap(),
+            // `serve`'s default: ε = 0.5 boosted against a 0.2 share.
+            RealizedPlan::balanced(1_000, 1.0 - 0.5f64.powf(1.0 / 0.8)).unwrap(),
+            RealizedPlan::golle_stubblebine(10_000, 0.75).unwrap(),
+            RealizedPlan::k_fold(100, 2, 0.5).unwrap(),
+            RealizedPlan::k_fold(100, 3, 0.5).unwrap(),
+            extended(10_000, 0.75, 2),
+            extended(5_000, 0.9, 3),
+            RealizedPlan::from_minimizing(&minimizing).unwrap(),
+            hand_built_plan(),
+        ]
+    }
+
+    #[test]
+    fn plan_groups_equal_grouping_the_expanded_plan() {
+        let mut kinds = Vec::new();
+        for plan in plans() {
+            kinds.extend(plan.partitions().iter().map(|p| p.kind));
+            let groups = plan_groups(&plan);
+            assert_eq!(
+                groups,
+                grouped_specs(&expand_plan(&plan)).collect::<Vec<_>>(),
+                "{} over {} tasks",
+                plan.scheme(),
+                plan.n_tasks()
+            );
+        }
+        for kind in [
+            PartitionKind::Normal,
+            PartitionKind::Tail,
+            PartitionKind::Ringer,
+            PartitionKind::Verified,
+        ] {
+            assert!(kinds.contains(&kind), "no plan has a {kind:?} partition");
+        }
+    }
+
+    #[test]
+    fn plan_groups_merge_equal_shapes_and_drop_empty_partitions() {
+        let shapes: Vec<(u64, u64, u32, bool)> = plan_groups(&hand_built_plan())
+            .iter()
+            .map(|g| (g.first_id.0, g.count, g.multiplicity, g.precomputed))
+            .collect();
+        assert_eq!(
+            shapes,
+            [(0, 9, 1, false), (9, 6, 3, true), (15, 4, 3, false)]
+        );
     }
 }

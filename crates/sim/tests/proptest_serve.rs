@@ -565,3 +565,178 @@ proptest! {
         prop_assert!(verdict.is_err(), "flipped bit {} at {} went undetected", flip_bit, pos);
     }
 }
+
+/// A deterministic client schedule drawn from `decisions`: mostly request
+/// work, sometimes return (or withhold) a held copy.  It is a pure
+/// function of the decisions and the store's replies, so two stores that
+/// behave identically see identical calls.
+#[derive(Default)]
+struct Schedule {
+    held: Vec<Assignment>,
+    step: usize,
+}
+
+impl Schedule {
+    /// Run up to `steps` calls against `store`; true once it drained.
+    fn run<S: redundancy_sim::WorkStore>(
+        &mut self,
+        store: &mut S,
+        decisions: &[u32],
+        steps: usize,
+    ) -> bool {
+        for _ in 0..steps {
+            let d = decisions[self.step % decisions.len()] as usize;
+            self.step += 1;
+            if !self.held.is_empty() && (d.is_multiple_of(3) || self.held.len() > 64) {
+                // Every fifth held copy is never returned: it times out.
+                let a = self.held.swap_remove(d % self.held.len());
+                if !d.is_multiple_of(5) {
+                    let _ = store.return_result(a.task, a.copy);
+                }
+                continue;
+            }
+            match store.request_work() {
+                Issue::Work(a) => self.held.push(a),
+                Issue::Idle => {}
+                Issue::Drained => return true,
+            }
+        }
+        false
+    }
+}
+
+/// Each shard's `(tasks, copies)` by brute force: the documented FNV-1a
+/// hash of every id's little-endian bytes, modulo the shard count.
+fn brute_force_ownership(specs: &[redundancy_sim::TaskSpec], shards: usize) -> Vec<(u64, u64)> {
+    let mut cells = vec![(0u64, 0u64); shards];
+    for s in specs {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in s.id.0.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let cell = &mut cells[(h % shards as u64) as usize];
+        cell.0 += 1;
+        cell.1 += u64::from(s.multiplicity);
+    }
+    cells
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A store built from the plan's groups is the store the `&[TaskSpec]`
+    /// wrapper builds: under one random request/return schedule (with
+    /// timeouts firing) the rendered stats, merged outcomes, final RNGs
+    /// and journals are byte-identical, in both stream modes at 1, 2, 3
+    /// and 4 shards.  The lazily counted per-shard ownership cells match a
+    /// brute-force count whether first read on a fresh store, mid-drain
+    /// or drained.
+    #[test]
+    fn stores_built_from_groups_are_the_same_stores(
+        tasks in 20u64..400,
+        eps_pct in 10u32..90,
+        p_pct in 0u32..50,
+        strategy_ix in 0u32..4,
+        timeout in 3u64..40,
+        seed in 0u64..100_000,
+        mid_steps in 1usize..600,
+        decisions in vec(0u32..1_000_000, 64usize),
+    ) {
+        use redundancy_sim::serve::{
+            workload_fingerprint, workload_fingerprint_groups, JournalWriter, JournaledStore,
+            Record, SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy, WorkStore,
+        };
+        use redundancy_sim::task::plan_groups;
+        let (plan, config) = campaign_shape(tasks, eps_pct, p_pct, strategy_ix, false, 0);
+        let specs = redundancy_sim::task::expand_plan(&plan);
+        let groups = plan_groups(&plan);
+        for mode in [StreamMode::Single, StreamMode::PerShard] {
+            for shards in 1usize..=4 {
+                let serve = ServeConfig {
+                    faults: FaultModel { timeout, ..FaultModel::none() },
+                    ..ServeConfig::new(shards)
+                };
+                let journaled = |store: StoreEnum, fingerprint: u64, total_tasks: u64| {
+                    let buf = SharedBuf::new();
+                    let mut writer = JournalWriter::new(buf.clone(), SyncPolicy::Off);
+                    writer.append(&Record::Header(SessionHeader {
+                        seed,
+                        shards: shards as u32,
+                        mode,
+                        timeout,
+                        max_retries: serve.faults.max_retries,
+                        fingerprint,
+                        total_tasks,
+                    })).unwrap();
+                    (JournaledStore::new(store, Some(writer)), buf)
+                };
+                let from_groups = || {
+                    journaled(
+                        StoreEnum::from_groups(&groups, &config, &serve, seed, mode).unwrap(),
+                        workload_fingerprint_groups(&groups, &config),
+                        groups.iter().map(|g| g.count).sum(),
+                    )
+                };
+                // `fresh` and `late` come from groups, `wrapped` through
+                // the `&[TaskSpec]` wrapper; each reads its per-shard cells
+                // first at a different moment.
+                let (mut fresh, fresh_buf) = from_groups();
+                let (mut late, late_buf) = from_groups();
+                let (mut wrapped, wrapped_buf) = journaled(
+                    StoreEnum::new(&specs, &config, &serve, seed, mode).unwrap(),
+                    workload_fingerprint(&specs, &config),
+                    specs.len() as u64,
+                );
+                let owned = brute_force_ownership(&specs, shards);
+                let cells = |store: &JournaledStore<StoreEnum>| -> Option<Vec<(u64, u64)>> {
+                    store.store().as_concurrent().map(|c| {
+                        c.per_shard_stats()
+                            .iter()
+                            .map(|s| (s.total_tasks, s.total_copies))
+                            .collect()
+                    })
+                };
+                if mode == StreamMode::PerShard {
+                    prop_assert_eq!(cells(&fresh).unwrap(), owned.clone(), "fresh");
+                }
+                let mut schedules: [Schedule; 3] = Default::default();
+                let mut drained = [false; 3];
+                for (i, store) in [&mut fresh, &mut wrapped, &mut late].into_iter().enumerate() {
+                    drained[i] = schedules[i].run(store, &decisions, mid_steps);
+                }
+                prop_assert!(drained[0] == drained[1] && drained[1] == drained[2]);
+                if mode == StreamMode::PerShard {
+                    prop_assert_eq!(cells(&wrapped).unwrap(), owned.clone(), "mid-drain");
+                }
+                for (i, store) in [&mut fresh, &mut wrapped, &mut late].into_iter().enumerate() {
+                    let mut guard = 0;
+                    while !drained[i] {
+                        drained[i] = schedules[i].run(store, &decisions, 1_000);
+                        guard += 1;
+                        prop_assert!(guard < 2_000, "drain did not terminate");
+                    }
+                }
+                if mode == StreamMode::PerShard {
+                    prop_assert_eq!(cells(&late).unwrap(), owned.clone(), "drained");
+                    prop_assert_eq!(cells(&fresh).unwrap(), owned.clone());
+                    prop_assert_eq!(cells(&wrapped).unwrap(), owned.clone());
+                }
+                let render = |s: &JournaledStore<StoreEnum>| s.stats().render();
+                prop_assert_eq!(render(&fresh), render(&wrapped));
+                prop_assert_eq!(render(&late), render(&wrapped));
+                prop_assert_eq!(fresh.merged_outcome(), wrapped.merged_outcome());
+                prop_assert_eq!(late.merged_outcome(), wrapped.merged_outcome());
+                prop_assert_eq!(fresh.final_rngs(), wrapped.final_rngs());
+                prop_assert_eq!(late.final_rngs(), wrapped.final_rngs());
+                for store in [fresh, wrapped, late] {
+                    store.finish().unwrap();
+                }
+                let journal = wrapped_buf.snapshot();
+                prop_assert!(journal.len() > 100, "journal not written");
+                prop_assert!(fresh_buf.snapshot() == journal, "{:?} x{}", mode, shards);
+                prop_assert!(late_buf.snapshot() == journal, "{:?} x{}", mode, shards);
+            }
+        }
+    }
+}
