@@ -1,6 +1,6 @@
-//! Process-level checks of `redundancy serve --stdio`: start-up memory
-//! that does not grow with the task count, and journal bytes pinned
-//! across releases.
+//! Process-level checks of `redundancy serve --stdio`: memory that grows
+//! neither with the task count at start-up nor with the tasks served, and
+//! journal bytes pinned across releases.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -20,6 +20,17 @@ fn read_reply(r: &mut impl std::io::Read) -> String {
     let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
     r.read_exact(&mut reply).unwrap();
     String::from_utf8(reply).unwrap()
+}
+
+/// A running process's peak resident set, in kB.
+#[cfg(target_os = "linux")]
+fn vm_hwm_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in {status}"))
 }
 
 /// A serve daemon builds its stores from the plan's spec groups, so the
@@ -51,12 +62,7 @@ fn twenty_million_task_stdio_daemon_answers_stats_in_bounded_memory() {
     assert!(stats.contains("tasks-total 20000001\n"), "{stats}");
     // The daemon is still alive (it has not seen `shutdown`), so its
     // status file is there to read.
-    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).unwrap();
-    let hwm_kb: u64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or_else(|| panic!("no VmHWM in {status}"));
+    let hwm_kb = vm_hwm_kb(child.id());
     stdin.write_all(&frame("shutdown")).unwrap();
     drop(stdin);
     assert_eq!(read_reply(&mut stdout), "bye");
@@ -65,6 +71,98 @@ fn twenty_million_task_stdio_daemon_answers_stats_in_bounded_memory() {
         hwm_kb < 32 * 1024,
         "peak RSS {hwm_kb} kB before the first request over 20M tasks"
     );
+}
+
+/// Drive a `--stdio` daemon over `tasks` tasks to the end, pipelined:
+/// request copies 64 at a time, keep the 64 newest held and return the
+/// oldest first.  Returns the daemon's peak RSS in kB, read before
+/// `shutdown`.
+#[cfg(target_os = "linux")]
+fn drained_peak_rss_kb(tasks: &str, mode: &[&str]) -> u64 {
+    use std::collections::VecDeque;
+    use std::io::{BufReader, BufWriter};
+    const HELD: usize = 64;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args([
+            "serve",
+            "--stdio",
+            "--tasks",
+            tasks,
+            "--timeout",
+            "1000000000",
+        ])
+        .args(mode)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawning the daemon");
+    let mut stdin = BufWriter::new(child.stdin.take().unwrap());
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut held: VecDeque<String> = VecDeque::new();
+    let mut drained = false;
+    while !drained {
+        for _ in 0..HELD {
+            stdin.write_all(&frame("request-work")).unwrap();
+        }
+        stdin.flush().unwrap();
+        let mut idle = false;
+        for _ in 0..HELD {
+            let reply = read_reply(&mut stdout);
+            if let Some(work) = reply.strip_prefix("work ") {
+                let (task, rest) = work.split_once(' ').unwrap();
+                let copy = rest.split(' ').next().unwrap();
+                held.push_back(format!("return-result {task} {copy}"));
+            } else {
+                idle |= reply == "idle";
+                drained |= reply == "drained";
+            }
+        }
+        // Everything left is held once the daemon goes idle.
+        let keep = if idle { 0 } else { HELD };
+        let returns = held.len().saturating_sub(keep);
+        for request in held.drain(..returns) {
+            stdin.write_all(&frame(&request)).unwrap();
+        }
+        stdin.flush().unwrap();
+        for _ in 0..returns {
+            let ack = read_reply(&mut stdout);
+            assert!(ack.starts_with("ok"), "{ack}");
+        }
+    }
+    assert!(held.is_empty());
+    stdin.write_all(&frame("stats")).unwrap();
+    stdin.flush().unwrap();
+    let stats = read_reply(&mut stdout);
+    let count = |key: &str| {
+        stats
+            .lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no {key} in {stats}"))
+            .to_string()
+    };
+    assert_eq!(count("tasks-completed "), count("tasks-total "), "{stats}");
+    let hwm_kb = vm_hwm_kb(child.id());
+    stdin.write_all(&frame("shutdown")).unwrap();
+    drop(stdin);
+    assert_eq!(read_reply(&mut stdout), "bye");
+    assert!(child.wait().unwrap().success());
+    hwm_kb
+}
+
+/// A shard keeps only the tasks in flight, so a daemon that has served
+/// 100,000 tasks holds no more than one that has served one task, in
+/// either stream mode.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_drained_history_costs_no_memory() {
+    for mode in [&["--shards", "2", "--streams", "per-shard"][..], &[][..]] {
+        let small = drained_peak_rss_kb("1", mode);
+        let large = drained_peak_rss_kb("100000", mode);
+        assert!(
+            large < small + 1024,
+            "{mode:?}: 100,000 tasks peaked at {large} kB, one task at {small} kB"
+        );
+    }
 }
 
 /// Pipe `request-work`, `request-work`, `shutdown` into a journaled stdio

@@ -10,13 +10,15 @@
 //! * **Per-shard locking.**  Task ids are partitioned over `shards` by an
 //!   FNV-1a id hash.  Each shard is the same shard state machine the
 //!   single-stream store runs (`serve::shard`), behind its own [`Mutex`]:
-//!   its free-list (timeout re-queue), tick clock, flat task arena,
+//!   its free-list (timeout re-queue), tick clock, task window,
 //!   partial [`CampaignOutcome`], and counters.
 //!   [`request_work`](ConcurrentStore::request_work) routes via a
 //!   round-robin cursor and touches one shard's lock at a time, and
 //!   [`return_result`](ConcurrentStore::return_result) locks exactly the
-//!   owning shard and indexes the task's slot directly.  [`ServeStats`] is
-//!   aggregated from the per-shard cells on demand.
+//!   owning shard, which finds the task in its live window by id (a shard
+//!   keeps only the tasks from its oldest unjudged one on, so its memory
+//!   follows the tasks in flight).  [`ServeStats`] is aggregated from the
+//!   per-shard cells on demand.
 //!
 //! * **O(groups) construction.**  The store is built from the plan's spec
 //!   groups ([`from_groups`](ConcurrentStore::from_groups)) and hashes no
@@ -43,7 +45,7 @@
 //! interleaved or multi-threaded drain.  The serve proptests and the
 //! `serve_concurrent` bench pin this.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::protocol::handle_request;
@@ -117,12 +119,6 @@ struct Shard {
 #[derive(Debug)]
 pub struct ConcurrentStore {
     shards: Vec<Shard>,
-    /// Each task's slot in its owning shard's arena plus one, written when
-    /// the shard activates it (0: not yet activated).  An entry is only
-    /// written and read while its owning shard's mutex is held, and that
-    /// mutex orders the accesses, so they are `Relaxed`.  The table is
-    /// allocated zeroed, so its pages cost nothing until tasks activate.
-    slots: Box<[AtomicU32]>,
     /// Round-robin routing cursor for `request_work`.
     router: AtomicUsize,
     workload: Arc<Workload>,
@@ -161,10 +157,6 @@ impl ConcurrentStore {
         config.validate()?;
         serve.validate()?;
         let workload = Arc::new(Workload::new(groups, config)?);
-        let total = workload.total_tasks() as usize;
-        // SAFETY: an all-zero bit pattern is a valid `AtomicU32` (it has
-        // the in-memory representation of `u32`).
-        let slots = unsafe { Box::<[AtomicU32]>::new_zeroed_slice(total).assume_init() };
         let seq = SeedSequence::new(seed);
         let shards = (0..serve.shards)
             .map(|s| {
@@ -187,7 +179,6 @@ impl ConcurrentStore {
             .collect();
         Ok(ConcurrentStore {
             shards,
-            slots,
             router: AtomicUsize::new(0),
             workload,
             seed,
@@ -218,22 +209,13 @@ impl ConcurrentStore {
         (0..self.shards.len()).all(|s| self.lock(s).store.is_drained())
     }
 
-    /// Issue from shard `s`, recording a newly activated task's slot and
-    /// publishing the shard's expiry counters before the lock is
-    /// released.
+    /// Issue from shard `s`, publishing the shard's expiry counters
+    /// before the lock is released.
     fn request_from(&self, s: usize) -> Issue {
         let shard = &self.shards[s];
         let mut g = shard.locked.lock().expect("shard lock poisoned");
         let Locked { store, rng } = &mut *g;
-        let rank = store.activated();
         let issue = store.request_work(rng);
-        if store.activated() > rank {
-            let index = self
-                .workload
-                .index_of(TaskId(store.activated_id(rank)))
-                .expect("activated task is in the workload");
-            self.slots[index].store(rank as u32 + 1, Ordering::Relaxed);
-        }
         let (timeouts, lost) = store.expiry_counters();
         shard.timeouts.store(timeouts, Ordering::Relaxed);
         shard.lost.store(lost, Ordering::Relaxed);
@@ -268,16 +250,9 @@ impl ConcurrentStore {
     /// Accept the return of one in-flight copy, locking only the owning
     /// shard.
     pub fn return_result(&self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        let index = self
-            .workload
-            .index_of(task)
-            .ok_or(ServeError::UnknownTask(task))?;
-        let mut g = self.lock(shard_of(task.0, self.shards.len()));
-        match self.slots[index].load(Ordering::Relaxed) {
-            // Owned by this shard but never activated: nothing issued yet.
-            0 => Err(ServeError::NotInFlight { task, copy }),
-            slot => g.store.return_result(slot as usize - 1, task, copy),
-        }
+        self.lock(shard_of(task.0, self.shards.len()))
+            .store
+            .return_result(task, copy)
     }
 
     /// The live session snapshot: the workload's totals, plus the
@@ -436,18 +411,6 @@ impl ConcurrentStore {
         for s in 0..self.shards.len() {
             let g = self.lock(s);
             g.store.check_invariants();
-            for rank in 0..g.store.activated() {
-                let id = g.store.activated_id(rank);
-                let index = self
-                    .workload
-                    .index_of(TaskId(id))
-                    .expect("task in workload");
-                assert_eq!(
-                    self.slots[index].load(Ordering::Relaxed) as usize,
-                    rank + 1,
-                    "task {id} routes to the wrong slot"
-                );
-            }
             let cell = g.store.stats();
             owned += cell.total_tasks;
             copies += cell.total_copies;

@@ -16,8 +16,12 @@
 //! while bytes are pending).  Each readiness report costs one `read`,
 //! straight into the read buffer: a read that returns less than it was
 //! offered means the socket is drained, and level-triggered epoll reports
-//! whatever arrives after it.  Connections are indexed by descriptor, not
-//! hashed.  Malformed input earns the same structured `err` frames as
+//! whatever arrives after it.  Once 64 KiB of replies wait unflushed, the
+//! loop stops answering and reading that connection (`EPOLLIN` is
+//! disarmed) until the client reads, so a client that never reads fills
+//! its own socket buffers, not the daemon's memory.  Connections are
+//! indexed by descriptor, not hashed.  Malformed input earns the same
+//! structured `err` frames as
 //! [`serve_connection`](super::serve_connection): a truncated frame or an
 //! oversized prefix answers `err` and closes after the flush; invalid
 //! UTF-8 answers `err` and the session continues.
@@ -140,6 +144,13 @@ mod linux {
     /// the front there is room for a whole frame more.
     const INBUF_LEN: usize = 2 * (4 + MAX_FRAME);
 
+    /// Unflushed reply bytes at which a connection stops being answered
+    /// and read.  A client that pipelines requests without reading its
+    /// replies then fills its own socket buffers instead of the daemon's
+    /// memory: a connection holds at most `INBUF_LEN` bytes of requests
+    /// and `OUTBUF_CAP` bytes plus one reply of output.
+    const OUTBUF_CAP: usize = 64 * 1024;
+
     /// RAII wrapper over one epoll instance.
     struct Epoll {
         fd: RawFd,
@@ -244,14 +255,13 @@ mod linux {
 
     /// One connection's state: the socket plus its session-owned frame
     /// buffers.  `inbuf[start..end]` holds received bytes not yet parsed;
-    /// `outbuf[outpos..]` holds replies awaiting flush.
+    /// `outbuf` holds replies awaiting flush.
     struct Conn {
         stream: TcpStream,
         inbuf: Box<[u8]>,
         start: usize,
         end: usize,
         outbuf: Vec<u8>,
-        outpos: usize,
         /// Stop reading; close once the write buffer drains (set after a
         /// malformed frame, a `shutdown` reply, or EOF).
         closing: bool,
@@ -267,7 +277,6 @@ mod linux {
                 start: 0,
                 end: 0,
                 outbuf: Vec::new(),
-                outpos: 0,
                 closing: false,
                 interest: EPOLLIN | EPOLLRDHUP,
             }
@@ -293,15 +302,22 @@ mod linux {
             }
         }
 
-        /// Answer every complete frame in the read buffer through
-        /// `handle`; returns true if one of them was `shutdown`.
+        /// True while the connection is answered and read: it is not
+        /// closing, and its unflushed output is under [`OUTBUF_CAP`].
+        fn accepts_input(&self) -> bool {
+            !self.closing && self.outbuf.len() < OUTBUF_CAP
+        }
+
+        /// Answer the complete frames in the read buffer through `handle`
+        /// while the connection accepts input; returns true if one of them
+        /// was `shutdown`.
         fn answer_frames(
             &mut self,
             reply: &mut String,
             handle: &mut impl FnMut(&str, &mut String) -> bool,
         ) -> bool {
             let mut shutdown = false;
-            while !self.closing {
+            while self.accepts_input() {
                 let pending = &self.inbuf[self.start..self.end];
                 let Some(prefix) = pending.first_chunk::<4>() else {
                     break;
@@ -336,31 +352,30 @@ mod linux {
         }
 
         /// Write queued bytes until the socket would block or the buffer
-        /// drains.  An I/O error here abandons the connection.
+        /// drains, then drop the bytes written.  An I/O error here
+        /// abandons the connection.
         fn flush(&mut self) -> io::Result<()> {
-            while self.outpos < self.outbuf.len() {
-                match self.stream.write(&self.outbuf[self.outpos..]) {
+            let mut written = 0;
+            while written < self.outbuf.len() {
+                match self.stream.write(&self.outbuf[written..]) {
                     Ok(0) => {
                         return Err(io::Error::new(
                             io::ErrorKind::WriteZero,
                             "socket accepted zero bytes",
                         ))
                     }
-                    Ok(n) => self.outpos += n,
+                    Ok(n) => written += n,
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
                 }
             }
-            if self.outpos == self.outbuf.len() {
-                self.outbuf.clear();
-                self.outpos = 0;
-            }
+            self.outbuf.drain(..written);
             Ok(())
         }
 
         fn has_pending_output(&self) -> bool {
-            self.outpos < self.outbuf.len()
+            !self.outbuf.is_empty()
         }
     }
 
@@ -466,50 +481,60 @@ mod linux {
                     continue;
                 };
                 let mut abandon = false;
-                if mask & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 && !conn.closing {
-                    // One read per readiness report: a short read means
-                    // the socket is drained, and level-triggered epoll
-                    // reports whatever arrives after it.
-                    loop {
-                        match conn.read_once() {
-                            Ok((0, _)) => {
-                                if conn.start < conn.end {
-                                    // The stream ended mid-prefix or
-                                    // mid-payload.
-                                    conn.queue_reply("err truncated-frame");
-                                }
-                                conn.closing = true;
-                                break;
+                // Answer the buffered frames, flush, then read: once per
+                // readiness report, again only while reads fill the buffer
+                // (a short read means the socket is drained, and
+                // level-triggered epoll reports whatever arrives after
+                // it).  Frames left buffered when the output reached the
+                // cap are answered as soon as a flush makes room, before
+                // anything more is read: epoll will not report bytes
+                // already read.
+                let mut readable = mask & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
+                loop {
+                    if conn.answer_frames(&mut reply, &mut handle)
+                        && opts.expected_clients.is_none()
+                    {
+                        shutting_down = true;
+                        if accepting == Accepting::Open {
+                            ep.delete(lfd)?;
+                        }
+                        accepting = Accepting::Closed;
+                    }
+                    let capped = !conn.closing && !conn.accepts_input();
+                    if conn.flush().is_err() {
+                        abandon = true;
+                        break;
+                    }
+                    if !conn.accepts_input() {
+                        break;
+                    }
+                    if capped {
+                        continue;
+                    }
+                    if !readable {
+                        break;
+                    }
+                    match conn.read_once() {
+                        Ok((0, _)) => {
+                            if conn.start < conn.end {
+                                // The stream ended mid-prefix or
+                                // mid-payload.
+                                conn.queue_reply("err truncated-frame");
                             }
-                            Ok((n, space)) => {
-                                if conn.answer_frames(&mut reply, &mut handle)
-                                    && opts.expected_clients.is_none()
-                                {
-                                    shutting_down = true;
-                                    if accepting == Accepting::Open {
-                                        ep.delete(lfd)?;
-                                    }
-                                    accepting = Accepting::Closed;
-                                }
-                                if n < space || conn.closing {
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(_) => {
-                                abandon = true;
-                                break;
-                            }
+                            conn.closing = true;
+                        }
+                        Ok((n, space)) => readable = n == space,
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(_) => {
+                            abandon = true;
+                            break;
                         }
                     }
-                }
-                if !abandon && conn.flush().is_err() {
-                    abandon = true;
                 }
                 let finished = conn.closing && !conn.has_pending_output();
                 if !abandon && !finished {
                     let mut want = 0u32;
-                    if !conn.closing {
+                    if conn.accepts_input() {
                         want |= EPOLLIN | EPOLLRDHUP;
                     }
                     if conn.has_pending_output() {

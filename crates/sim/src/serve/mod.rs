@@ -19,15 +19,16 @@
 //!   bit-compat oracle the `ext_serve` snapshots pin; clients serialize
 //!   on one lock.
 //! * [`concurrent`] — the **per-shard-stream** [`ConcurrentStore`]: each
-//!   shard owns its own lock, free-list, task arena, stats cell, and a
+//!   shard owns its own lock, free-list, task window, stats cell, and a
 //!   `SeedSequence::derive(shard)` RNG stream, so clients on different
 //!   shards proceed in parallel.  A drained store's merged outcome,
 //!   per-shard final RNGs, and stats are byte-identical across any
 //!   client count and request schedule at a fixed shard count; the
 //!   matching oracle drains shard-by-shard.
 //!
-//! Both run the same shard state machine over a flat task arena: one
-//! machine over the whole workload, or one per shard.
+//! Both run the same shard state machine over a window of the tasks in
+//! flight, which retires tasks once they are judged: one machine over the
+//! whole workload, or one per shard.
 //!
 //! Stores are built from a plan's spec groups
 //! ([`plan_groups`](crate::task::plan_groups)) through the `from_groups`

@@ -1,5 +1,5 @@
-//! The one shard state machine both serve stores run on, over a flat task
-//! arena.
+//! The one shard state machine both serve stores run on, over a window of
+//! the tasks in flight.
 //!
 //! A [`ShardStore`] owns a slice of the workload — every task for the
 //! single-stream [`AssignmentStore`](super::AssignmentStore), the ids one
@@ -16,9 +16,10 @@
 //! list, and a shard allocates nothing per task until it activates one.  A
 //! hash shard's ownership totals (its stats cell's `total_tasks` and
 //! `total_copies`, and with them `is_drained`) are counted the first time
-//! they are asked for and cached: the walked prefix is already in the
-//! arena, so only the ids the activation walk has not reached are hashed,
-//! and a shard whose walk is done counts nothing at all.
+//! they are asked for and cached: the walked prefix is already counted
+//! (retired plus live tasks), so only the ids the activation walk has not
+//! reached are hashed, and a shard whose walk is done counts nothing at
+//! all.
 //!
 //! # Bit-identity with the batch kernel
 //!
@@ -31,24 +32,41 @@
 //!
 //! # Layout
 //!
-//! Activated tasks live in flat vectors that only grow by `push`, so an
-//! activation allocates nothing of its own:
+//! A shard holds only a *live window*: the activated tasks from the oldest
+//! unjudged one up to the activation cursor.  Once judged, a task's verdict
+//! is folded into the outcome and nothing else about it is needed, so
+//! after every judgement the judged tasks at the window's front retire,
+//! together with their copies.  Memory then follows the tasks in flight,
+//! not the number of tasks served.  The window is three rings that grow at
+//! the back and retire at the front, so an activation allocates nothing of
+//! its own once their capacity covers the tasks in flight:
 //!
-//! * `tasks` — one [`TaskSlot`] per activated task, indexed by its
-//!   activation rank.  The store routes a return by looking that rank up
-//!   (the single-stream store's rank is the task's index), never by
-//!   searching.
-//! * `copies` — one [`CopyState`] byte per copy, each task's copies
-//!   contiguous from its `first_copy`.
+//! * `tasks` — one [`TaskSlot`] per live task, in activation order; the
+//!   first one's activation rank is `retired`.
+//! * `copies` — one [`CopyState`] byte per live copy, each task's copies
+//!   contiguous from its `first_copy` (an arena index; the ring starts at
+//!   `retired_copies`).
 //! * `values` — the value each copy returns, kept only when honest hosts
 //!   err.  Otherwise a copy's value is a pure function of the task id and
 //!   its `(held, cheats)` draw and is recomputed when the task is judged.
 //!
-//! The in-flight queue holds one record per issued copy in deadline order.
-//! A return leaves its record stale; stale records are popped off the
-//! front as soon as they reach it, and the queue is compacted whenever
-//! stale records outnumber the copies in flight, so it never holds more
-//! than twice the in-flight copies (plus [`INFLIGHT_SLACK`]).
+//! A return is routed by task id.  An id past the activation cursor was
+//! never issued.  Otherwise the single-stream store's rank is the task's
+//! index, and a hash shard searches its window by id (ids rise with rank),
+//! galloping out from the front, where returns mostly land.  An id below
+//! the window belongs to a retired task: every copy of it returned or was
+//! abandoned, so the reply needs only the task's multiplicity, which its
+//! spec group gives.
+//!
+//! The in-flight queue holds one record per issued copy in deadline order,
+//! naming its task by activation rank; a rank below `retired` is a stale
+//! record (a task with a copy in flight or re-queued is open, so it never
+//! retires).  A return leaves its record stale; stale records are popped
+//! off the front as soon as they reach it, and the queue is compacted
+//! whenever stale records outnumber the copies in flight, so it never
+//! holds more than twice the in-flight copies (plus [`INFLIGHT_SLACK`]).
+//! A copy held past every other keeps its task, and so the window, pinned
+//! until it returns or times out.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -210,11 +228,17 @@ impl Workload {
 
     /// The workload index of `task`, or `None` if it is not in the
     /// workload.
-    pub(crate) fn index_of(&self, task: TaskId) -> Option<usize> {
+    fn index_of(&self, task: TaskId) -> Option<u64> {
         task.0
             .checked_sub(self.base_id)
             .filter(|&i| i < self.total_tasks)
-            .map(|i| i as usize)
+    }
+
+    /// The multiplicity of the task at workload index `index`.
+    fn multiplicity(&self, index: u64) -> u32 {
+        self.groups[self.groups.partition_point(|g| g.end <= index)]
+            .group
+            .multiplicity
     }
 }
 
@@ -236,7 +260,7 @@ enum CopyState {
 #[derive(Debug, Clone, Copy)]
 struct TaskSlot {
     id: u64,
-    /// Index of copy 0 in the shard's `copies` (and `values`) arena.
+    /// Arena index of copy 0 in the shard's `copies` (and `values`).
     first_copy: u64,
     mult: u32,
     held: u32,
@@ -252,7 +276,8 @@ struct TaskSlot {
 /// the queue always expires first.
 #[derive(Debug, Clone, Copy)]
 struct InFlightRec {
-    slot: u32,
+    /// The task's activation rank.
+    rank: u32,
     copy: u32,
     attempt: u32,
     deadline: u64,
@@ -273,12 +298,19 @@ pub(crate) struct ShardStore {
     /// group it falls in.
     cursor: u64,
     group: usize,
-    /// The task being dealt: (slot, next copy).
+    /// The task being dealt: (rank, next copy).
     active: Option<(u32, u32)>,
-    tasks: Vec<TaskSlot>,
-    copies: Vec<CopyState>,
-    values: Vec<ResultValue>,
-    /// The timeout free-list: (slot, copy, attempt).
+    /// The live window (see the module docs).
+    tasks: VecDeque<TaskSlot>,
+    copies: VecDeque<CopyState>,
+    values: VecDeque<ResultValue>,
+    /// Tasks retired off the window's front: the first live task's rank.
+    retired: u64,
+    /// Their copies: the arena index of the first live copy.
+    retired_copies: u64,
+    /// Of those, the copies abandoned rather than returned.
+    retired_lost: u64,
+    /// The timeout free-list: (rank, copy, attempt).
     requeue: VecDeque<(u32, u32, u32)>,
     inflight: VecDeque<InFlightRec>,
     now: u64,
@@ -312,9 +344,12 @@ impl ShardStore {
             cursor: 0,
             group: 0,
             active: None,
-            tasks: Vec::new(),
-            copies: Vec::new(),
-            values: Vec::new(),
+            tasks: VecDeque::new(),
+            copies: VecDeque::new(),
+            values: VecDeque::new(),
+            retired: 0,
+            retired_copies: 0,
+            retired_lost: 0,
             requeue: VecDeque::new(),
             inflight: VecDeque::new(),
             now: 0,
@@ -345,7 +380,7 @@ impl ShardStore {
             Owner::Shard { .. } => *self.owned.get_or_init(|| {
                 // The walk has activated exactly the owned ids below the
                 // cursor; hash only the ids it has not reached.
-                let mut owned = (self.tasks.len() as u64, self.copies.len() as u64);
+                let mut owned = self.activated();
                 for g in &w.groups {
                     let start = (g.end - g.group.count).max(self.cursor);
                     for index in start..g.end {
@@ -360,9 +395,13 @@ impl ShardStore {
         }
     }
 
-    /// The workload this shard walks.
-    pub(crate) fn workload(&self) -> &Workload {
-        &self.workload
+    /// `(tasks, copies)` this shard has activated: the retired ones plus
+    /// the window.
+    fn activated(&self) -> (u64, u64) {
+        (
+            self.retired + self.tasks.len() as u64,
+            self.retired_copies + self.copies.len() as u64,
+        )
     }
 
     /// This shard's partial outcome.
@@ -373,16 +412,6 @@ impl ShardStore {
     /// Running `(timeouts, lost)` totals.
     pub(crate) fn expiry_counters(&self) -> (u64, u64) {
         (self.outcome.timeouts, self.lost)
-    }
-
-    /// How many tasks this shard has activated.
-    pub(crate) fn activated(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The id of the task activated `rank`-th.
-    pub(crate) fn activated_id(&self, rank: usize) -> u64 {
-        self.tasks[rank].id
     }
 
     /// Records in the in-flight queue, stale ones included.
@@ -396,16 +425,16 @@ impl ShardStore {
     pub(crate) fn request_work(&mut self, rng: &mut DeterministicRng) -> Issue {
         self.now += 1;
         self.expire_overdue();
-        if let Some((slot, copy, attempt)) = self.requeue.pop_front() {
-            return Issue::Work(self.issue(slot, copy, attempt));
+        if let Some((rank, copy, attempt)) = self.requeue.pop_front() {
+            return Issue::Work(self.issue(rank, copy, attempt));
         }
         if self.active.is_none() {
             self.activate_next(rng);
         }
-        if let Some((slot, copy)) = self.active {
-            let mult = self.tasks[slot as usize].mult;
-            self.active = (copy + 1 < mult).then_some((slot, copy + 1));
-            return Issue::Work(self.issue(slot, copy, 0));
+        if let Some((rank, copy)) = self.active {
+            let mult = self.tasks[self.slot(rank)].mult;
+            self.active = (copy + 1 < mult).then_some((rank, copy + 1));
+            return Issue::Work(self.issue(rank, copy, 0));
         }
         if self.in_flight > 0 {
             Issue::Idle
@@ -415,20 +444,39 @@ impl ShardStore {
         }
     }
 
-    /// Accept the return of copy `copy` of `task`, whose activation rank
-    /// in this shard is `slot`; judges the task when it was the last
-    /// outstanding copy.
+    /// Accept the return of copy `copy` of `task`, which this shard owns
+    /// if it is in the workload; judges the task when it was the last
+    /// outstanding copy.  See the module docs for how the task is found.
     pub(crate) fn return_result(
         &mut self,
-        slot: usize,
         task: TaskId,
         copy: u32,
     ) -> Result<ReturnAck, ServeError> {
-        let Some(t) = self.tasks.get_mut(slot) else {
-            // Owned here but never activated: nothing issued yet.
+        let w = &*self.workload;
+        let index = w.index_of(task).ok_or(ServeError::UnknownTask(task))?;
+        if index >= self.cursor {
+            // Never activated: nothing issued yet.
             return Err(ServeError::NotInFlight { task, copy });
+        }
+        debug_assert!(self.owner.owns(task.0), "return routed to the wrong shard");
+        let live = match self.owner {
+            Owner::All => index.checked_sub(self.retired).map(|slot| slot as usize),
+            Owner::Shard { .. } => self.search(task.0),
         };
-        debug_assert_eq!(t.id, task.0, "return routed to the wrong slot");
+        let Some(slot) = live else {
+            // Retired: every copy returned or was abandoned.
+            let multiplicity = w.multiplicity(index);
+            return Err(if copy >= multiplicity {
+                ServeError::CopyOutOfRange {
+                    task,
+                    copy,
+                    multiplicity,
+                }
+            } else {
+                ServeError::NotInFlight { task, copy }
+            });
+        };
+        let t = &mut self.tasks[slot];
         if copy >= t.mult {
             return Err(ServeError::CopyOutOfRange {
                 task,
@@ -436,7 +484,8 @@ impl ShardStore {
                 multiplicity: t.mult,
             });
         }
-        let state = &mut self.copies[(t.first_copy + u64::from(copy)) as usize];
+        let state =
+            &mut self.copies[(t.first_copy - self.retired_copies + u64::from(copy)) as usize];
         if *state != CopyState::InFlight {
             return Err(ServeError::NotInFlight { task, copy });
         }
@@ -470,7 +519,7 @@ impl ShardStore {
     pub(crate) fn counters(&self) -> ServeStats {
         ServeStats {
             total_tasks: 0,
-            activated_tasks: self.tasks.len() as u64,
+            activated_tasks: self.activated().0,
             completed_tasks: self.completed,
             total_copies: 0,
             issued: self.issued,
@@ -496,12 +545,14 @@ impl ShardStore {
     pub(crate) fn reset_in_flight(&mut self) -> u64 {
         let mut reverted = 0u64;
         while let Some(rec) = self.inflight.pop_front() {
-            let ix = self.copy_index(rec.slot, rec.copy);
+            let Some(ix) = self.live_copy(rec.rank, rec.copy) else {
+                continue;
+            };
             if self.copies[ix] != CopyState::InFlight {
                 continue;
             }
             self.copies[ix] = CopyState::Pending;
-            self.requeue.push_back((rec.slot, rec.copy, rec.attempt));
+            self.requeue.push_back((rec.rank, rec.copy, rec.attempt));
             reverted += 1;
         }
         self.in_flight -= reverted;
@@ -509,15 +560,47 @@ impl ShardStore {
         reverted
     }
 
-    fn copy_index(&self, slot: u32, copy: u32) -> usize {
-        (self.tasks[slot as usize].first_copy + u64::from(copy)) as usize
+    /// The window position of live task `id` in a hash shard, whose
+    /// window holds its ids in rising order.  Returns mostly reach the
+    /// oldest tasks, so the search gallops out from the window's front,
+    /// then bisects: O(log d) probes for the task d places in.
+    fn search(&self, id: u64) -> Option<usize> {
+        let tasks = &self.tasks;
+        let (mut lo, mut hi) = (0, 1);
+        while hi < tasks.len() && tasks[hi].id <= id {
+            lo = hi;
+            hi = 2 * hi + 1;
+        }
+        let mut hi = hi.min(tasks.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if tasks[mid].id < id {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < tasks.len() && tasks[lo].id == id).then_some(lo)
+    }
+
+    /// The window position of the live task activated `rank`-th.
+    fn slot(&self, rank: u32) -> usize {
+        (u64::from(rank) - self.retired) as usize
+    }
+
+    /// The ring position of copy `copy` of the task activated `rank`-th,
+    /// or `None` once that task has retired.
+    fn live_copy(&self, rank: u32, copy: u32) -> Option<usize> {
+        let slot = u64::from(rank).checked_sub(self.retired)?;
+        let first = self.tasks[slot as usize].first_copy - self.retired_copies;
+        Some((first + u64::from(copy)) as usize)
     }
 
     /// Draw holdings and materialize the next owned task, making it the
     /// active dispatch target.  Returns false when every owned task is
     /// activated.
     fn activate_next(&mut self, rng: &mut DeterministicRng) -> bool {
-        let rank = self.tasks.len();
+        let (rank, first_copy) = self.activated();
         let w = &*self.workload;
         let index = loop {
             if self.cursor >= w.total_tasks {
@@ -549,7 +632,7 @@ impl ShardStore {
                 .extend(std::iter::repeat_n(adversary, held as usize));
             for j in u64::from(held)..u64::from(mult) {
                 let faulty = rng.bernoulli(w.config.honest_error_rate);
-                self.values.push(if faulty {
+                self.values.push_back(if faulty {
                     faulty_result(id, j ^ rng.next_raw())
                 } else {
                     right
@@ -559,9 +642,9 @@ impl ShardStore {
         self.outcome.tasks += 1;
         self.outcome.assignments += u64::from(mult);
         self.outcome.holdings.record(held as usize);
-        self.tasks.push(TaskSlot {
+        self.tasks.push_back(TaskSlot {
             id: id.0,
-            first_copy: self.copies.len() as u64,
+            first_copy,
             mult,
             held,
             open: mult,
@@ -574,14 +657,15 @@ impl ShardStore {
         true
     }
 
-    /// Mark one copy in flight and register its deadline.
-    fn issue(&mut self, slot: u32, copy: u32, attempt: u32) -> Assignment {
-        let t = self.tasks[slot as usize];
-        let state = &mut self.copies[(t.first_copy + u64::from(copy)) as usize];
+    /// Mark one copy of a live task in flight and register its deadline.
+    fn issue(&mut self, rank: u32, copy: u32, attempt: u32) -> Assignment {
+        let t = self.tasks[self.slot(rank)];
+        let state =
+            &mut self.copies[(t.first_copy - self.retired_copies + u64::from(copy)) as usize];
         debug_assert_eq!(*state, CopyState::Pending);
         *state = CopyState::InFlight;
         self.inflight.push_back(InFlightRec {
-            slot,
+            rank,
             copy,
             attempt,
             deadline: self.now.saturating_add(self.timeout),
@@ -603,7 +687,9 @@ impl ShardStore {
                 break;
             }
             self.inflight.pop_front();
-            let ix = self.copy_index(rec.slot, rec.copy);
+            let Some(ix) = self.live_copy(rec.rank, rec.copy) else {
+                continue;
+            };
             if self.copies[ix] != CopyState::InFlight {
                 continue;
             }
@@ -613,16 +699,17 @@ impl ShardStore {
                 self.copies[ix] = CopyState::Lost;
                 self.lost += 1;
                 self.outcome.lost_assignments += 1;
-                let t = &mut self.tasks[rec.slot as usize];
+                let slot = self.slot(rec.rank);
+                let t = &mut self.tasks[slot];
                 t.open -= 1;
                 if t.open == 0 {
-                    self.judge(rec.slot as usize);
+                    self.judge(slot);
                 }
             } else {
                 self.outcome.retries += 1;
                 self.copies[ix] = CopyState::Pending;
                 self.requeue
-                    .push_back((rec.slot, rec.copy, rec.attempt + 1));
+                    .push_back((rec.rank, rec.copy, rec.attempt + 1));
             }
         }
     }
@@ -634,9 +721,12 @@ impl ShardStore {
     /// expiry is unaffected.
     fn trim_inflight(&mut self) {
         let (tasks, copies) = (&self.tasks, &self.copies);
+        let (retired, retired_copies) = (self.retired, self.retired_copies);
         let live = |r: &InFlightRec| {
-            copies[(tasks[r.slot as usize].first_copy + u64::from(r.copy)) as usize]
-                == CopyState::InFlight
+            u64::from(r.rank).checked_sub(retired).is_some_and(|slot| {
+                let first = tasks[slot as usize].first_copy - retired_copies;
+                copies[(first + u64::from(r.copy)) as usize] == CopyState::InFlight
+            })
         };
         while self.inflight.front().is_some_and(|r| !live(r)) {
             self.inflight.pop_front();
@@ -646,16 +736,17 @@ impl ShardStore {
         }
     }
 
-    /// Judge a task whose copies have all returned or been abandoned,
-    /// folding the verdict into this shard's outcome — the same tail as
-    /// the batch kernels.
+    /// Judge the task at window position `slot`, whose copies have all
+    /// returned or been abandoned, folding the verdict into this shard's
+    /// outcome — the same tail as the batch kernels — then retire the
+    /// judged tasks at the window's front.
     fn judge(&mut self, slot: usize) {
         self.completed += 1;
         let t = self.tasks[slot];
         let id = TaskId(t.id);
         let right = correct_result(id);
         let wrong = colluded_wrong_result(id);
-        let first = t.first_copy as usize;
+        let first = (t.first_copy - self.retired_copies) as usize;
         self.results.clear();
         for j in 0..t.mult as usize {
             if self.copies[first + j] != CopyState::Returned {
@@ -692,6 +783,20 @@ impl ShardStore {
                 &mut self.outcome,
             );
         }
+        while let Some(&TaskSlot { open: 0, mult, .. }) = self.tasks.front() {
+            let mult = mult as usize;
+            self.tasks.pop_front();
+            self.retired += 1;
+            self.retired_copies += mult as u64;
+            for _ in 0..mult {
+                if self.copies.pop_front() == Some(CopyState::Lost) {
+                    self.retired_lost += 1;
+                }
+            }
+            if self.errorful {
+                self.values.drain(..mult);
+            }
+        }
     }
 
     /// Exhaustively re-derive every counter from the per-copy states and
@@ -700,25 +805,44 @@ impl ShardStore {
     pub(crate) fn check_invariants(&self) {
         let w = &*self.workload;
         let mut in_flight = 0u64;
-        let mut returned = 0u64;
-        let mut lost = 0u64;
-        let mut completed = 0u64;
-        let mut next_copy = 0u64;
+        // Retired copies were each returned or abandoned, and every
+        // retired task was judged.
+        assert!(
+            self.retired_lost <= self.retired_copies,
+            "retired copies drifted"
+        );
+        let mut returned = self.retired_copies - self.retired_lost;
+        let mut lost = self.retired_lost;
+        let mut completed = self.retired;
         // The activated tasks are exactly the owned ids the walk passed,
-        // in id order.
-        let mut walked = (0..self.cursor)
-            .map(|i| w.base_id + i)
-            .filter(|&id| self.owner.owns(id));
-        for (rank, t) in self.tasks.iter().enumerate() {
+        // in id order: the retired ones, then the window.
+        let mut walked = (0..self.cursor).filter(|&i| self.owner.owns(w.base_id + i));
+        let mut retired = (0u64, 0u64);
+        for index in walked.by_ref().take(self.retired as usize) {
+            retired.0 += 1;
+            retired.1 += u64::from(w.multiplicity(index));
+        }
+        assert_eq!(
+            retired,
+            (self.retired, self.retired_copies),
+            "retired tasks drifted"
+        );
+        assert!(
+            self.tasks.front().is_none_or(|t| t.open > 0),
+            "a judged task was not retired"
+        );
+        let mut next_copy = self.retired_copies;
+        for (slot, t) in self.tasks.iter().enumerate() {
             assert_eq!(
                 Some(t.id),
-                walked.next(),
-                "slot {rank} holds the wrong task"
+                walked.next().map(|i| w.base_id + i),
+                "slot {slot} holds the wrong task"
             );
             assert_eq!(t.first_copy, next_copy, "copy arena not contiguous");
             next_copy += u64::from(t.mult);
             let mut counts = [0u32; 4];
-            for c in &self.copies[t.first_copy as usize..next_copy as usize] {
+            let first = (t.first_copy - self.retired_copies) as usize;
+            for c in self.copies.range(first..first + t.mult as usize) {
                 counts[*c as usize] += 1;
             }
             assert_eq!(
@@ -733,19 +857,21 @@ impl ShardStore {
             completed += u64::from(t.open == 0);
         }
         assert_eq!(walked.next(), None, "an owned task was skipped");
-        assert_eq!(next_copy, self.copies.len() as u64, "copy arena overruns");
+        assert_eq!(next_copy, self.activated().1, "copy arena overruns");
         let values = if self.errorful { self.copies.len() } else { 0 };
         assert_eq!(self.values.len(), values, "value arena drifted");
         assert_eq!(in_flight, self.in_flight, "in-flight count drifted");
         assert_eq!(returned, self.returned, "returned count drifted");
         assert_eq!(lost, self.lost, "lost count drifted");
         assert_eq!(completed, self.completed, "completion count drifted");
-        // Every re-queued copy is Pending, and no copy is queued twice.
+        // Every re-queued copy is Pending (so its task is live), and no
+        // copy is queued twice.
         let mut seen = std::collections::HashSet::new();
-        for &(slot, copy, _) in &self.requeue {
-            assert!(seen.insert((slot, copy)), "copy re-queued twice");
+        for &(rank, copy, _) in &self.requeue {
+            assert!(seen.insert((rank, copy)), "copy re-queued twice");
+            let ix = self.live_copy(rank, copy).expect("re-queued copy retired");
             assert_eq!(
-                self.copies[self.copy_index(slot, copy)],
+                self.copies[ix],
                 CopyState::Pending,
                 "re-queued copy not pending"
             );
@@ -754,8 +880,9 @@ impl ShardStore {
         // stay within the compaction bound.
         let mut live = std::collections::HashSet::new();
         for r in &self.inflight {
-            if self.copies[self.copy_index(r.slot, r.copy)] == CopyState::InFlight {
-                assert!(live.insert((r.slot, r.copy)), "copy in flight twice");
+            let ix = self.live_copy(r.rank, r.copy);
+            if ix.is_some_and(|ix| self.copies[ix] == CopyState::InFlight) {
+                assert!(live.insert((r.rank, r.copy)), "copy in flight twice");
             }
         }
         assert_eq!(

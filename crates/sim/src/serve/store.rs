@@ -30,9 +30,14 @@
 //! The store is one shard state machine (`serve::shard`, the one the
 //! per-shard store runs per shard) over the whole workload: dispatch
 //! order (and therefore RNG order) is one activation cursor, and task
-//! state lives in that machine's flat arena, where a task's slot is its
-//! index in the workload.  The configured shard count is kept for the
-//! journal header and the reports; it cannot perturb outcomes.
+//! state lives in that machine's live window, which holds the tasks from
+//! the oldest unjudged one to the cursor and retires judged tasks off its
+//! front.  A task's activation rank is its index in the workload, so a
+//! return finds its task by subtracting the retired count; a return to a
+//! retired task is answered from the task's spec group.  Memory therefore
+//! follows the tasks in flight, not the tasks served.  The configured
+//! shard count is kept for the journal header and the reports; it cannot
+//! perturb outcomes.
 
 use std::sync::Arc;
 
@@ -338,7 +343,7 @@ impl AssignmentStore {
     }
 
     /// The configured shard count.  The single-stream store keeps its
-    /// task state in one arena, so the count cannot perturb outcomes; it
+    /// task state in one window, so the count cannot perturb outcomes; it
     /// is kept for the journal header and the reports.
     pub fn shard_count(&self) -> usize {
         self.shards
@@ -361,13 +366,7 @@ impl AssignmentStore {
     /// Accept the return of one in-flight copy; judges the task when it
     /// was the last outstanding copy.
     pub fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        // Tasks activate in id order, so a task's slot is its index.
-        let slot = self
-            .store
-            .workload()
-            .index_of(task)
-            .ok_or(ServeError::UnknownTask(task))?;
-        self.store.return_result(slot, task, copy)
+        self.store.return_result(task, copy)
     }
 
     /// The live session snapshot.

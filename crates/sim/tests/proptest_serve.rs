@@ -11,13 +11,14 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use redundancy_core::RealizedPlan;
 use redundancy_sim::experiment::detection_experiment_with;
-use redundancy_sim::serve::{Assignment, Issue, ServeConfig};
+use redundancy_sim::serve::{Assignment, Issue, ReturnAck, ServeConfig, ServeError};
 use redundancy_sim::{
     drain_session, run_campaign_with_scratch, serve_experiment, AdversaryModel, AssignmentStore,
     CampaignConfig, CampaignOutcome, CampaignScratch, CheatStrategy, ConcurrentStore,
-    ExperimentConfig, FaultModel,
+    ExperimentConfig, FaultModel, TaskId,
 };
 use redundancy_stats::DeterministicRng;
+use std::collections::HashMap;
 
 /// Decode drawn scalars into an arbitrary-but-valid campaign shape.
 fn campaign_shape(
@@ -736,6 +737,241 @@ proptest! {
                 prop_assert!(journal.len() > 100, "journal not written");
                 prop_assert!(fresh_buf.snapshot() == journal, "{:?} x{}", mode, shards);
                 prop_assert!(late_buf.snapshot() == journal, "{:?} x{}", mode, shards);
+            }
+        }
+    }
+}
+
+/// Either store flavor behind the calls the return model drives.
+enum Subject {
+    Single(Box<AssignmentStore>, DeterministicRng),
+    Sharded(ConcurrentStore),
+}
+
+impl Subject {
+    fn request_work(&mut self) -> Issue {
+        match self {
+            Subject::Single(store, rng) => store.request_work(rng),
+            Subject::Sharded(store) => store.request_work(),
+        }
+    }
+
+    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
+        match self {
+            Subject::Single(store, _) => store.return_result(task, copy),
+            Subject::Sharded(store) => store.return_result(task, copy),
+        }
+    }
+
+    fn check_invariants(&self) {
+        match self {
+            Subject::Single(store, _) => store.check_invariants(),
+            Subject::Sharded(store) => store.check_invariants(),
+        }
+    }
+
+    fn stats(&self) -> redundancy_sim::ServeStats {
+        match self {
+            Subject::Single(store, _) => store.stats(),
+            Subject::Sharded(store) => store.stats(),
+        }
+    }
+}
+
+/// What a client knows from the replies it has seen, under a timeout that
+/// never fires: which copies it holds, and each issued task's multiplicity
+/// and returned copies.
+#[derive(Default)]
+struct ReturnModel {
+    /// Held copies, oldest issue first.
+    held: Vec<Assignment>,
+    /// Per task issued: (multiplicity, copies returned).
+    tasks: HashMap<u64, (u32, u32)>,
+    /// Copies returned, in return order.
+    returned: Vec<(TaskId, u32)>,
+}
+
+impl ReturnModel {
+    fn issued(&mut self, a: Assignment) {
+        self.tasks.entry(a.task.0).or_insert((a.multiplicity, 0));
+        self.held.push(a);
+    }
+
+    /// The reply the store owes a return of `copy` of `task`.
+    fn expect(&self, task: TaskId, copy: u32, total: u64) -> Result<ReturnAck, ServeError> {
+        if task.0 >= total {
+            return Err(ServeError::UnknownTask(task));
+        }
+        if self.held.iter().any(|a| a.task == task && a.copy == copy) {
+            let (mult, returned) = self.tasks[&task.0];
+            return Ok(ReturnAck {
+                task_complete: returned + 1 == mult,
+            });
+        }
+        match self.tasks.get(&task.0) {
+            Some(&(multiplicity, _)) if copy >= multiplicity => Err(ServeError::CopyOutOfRange {
+                task,
+                copy,
+                multiplicity,
+            }),
+            _ => Err(ServeError::NotInFlight { task, copy }),
+        }
+    }
+
+    /// The `(activated, completed)` task counts the store owes: a task
+    /// activates with its first issue and completes on its last return.
+    fn tasks_seen(&self) -> (u64, u64) {
+        let completed = self.tasks.values().filter(|&&(m, r)| r == m).count();
+        (self.tasks.len() as u64, completed as u64)
+    }
+
+    /// Send one return, check the reply against the model, and record
+    /// an accepted return.
+    fn send(
+        &mut self,
+        store: &mut Subject,
+        task: TaskId,
+        copy: u32,
+        total: u64,
+    ) -> Result<(), String> {
+        let want = self.expect(task, copy, total);
+        let got = store.return_result(task, copy);
+        if got != want {
+            return Err(format!(
+                "return {} {copy}: got {got:?}, want {want:?}",
+                task.0
+            ));
+        }
+        if got.is_ok() {
+            let ix = self
+                .held
+                .iter()
+                .position(|a| a.task == task && a.copy == copy)
+                .expect("an accepted copy was held");
+            self.held.remove(ix);
+            self.tasks.get_mut(&task.0).expect("issued task").1 += 1;
+            self.returned.push((task, copy));
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Returns answer what the client's own model of the session says,
+    /// whether the task is live, judged but still in the window, retired
+    /// off it, or never issued: `ok complete` exactly on the last open
+    /// copy, `copy-out-of-range` with the multiplicity the `work` reply
+    /// showed, `not-in-flight` for a copy already returned or any copy of
+    /// a task never issued (no range check), and `unknown-task` past the
+    /// workload.  Random schedules hold a few early copies for a drawn
+    /// stretch, return the rest in a drawn order, resend returned copies,
+    /// send copies equal to the multiplicity and `u32::MAX`, and send ids
+    /// never issued and past the workload; both store flavors, 1 to 4
+    /// shards, with and without honest errors, invariants checked as they
+    /// go.
+    #[test]
+    fn returns_answer_as_the_client_model_says(
+        tasks in 20u64..300,
+        eps_pct in 10u32..90,
+        p_pct in 0u32..50,
+        strategy_ix in 0u32..4,
+        err_pct in 0u32..2,
+        seed in 0u64..100_000,
+        pinned in 0usize..8,
+        release_at in 0usize..3_000,
+        decisions in vec(0u32..1_000_000, 64usize),
+    ) {
+        let (plan, config) = campaign_shape(tasks, eps_pct, p_pct, strategy_ix, false, err_pct * 3);
+        let specs = redundancy_sim::task::expand_plan(&plan);
+        let total = specs.len() as u64;
+        let subjects = (0..=4).map(|shards| match shards {
+            0 => Subject::Single(
+                Box::new(AssignmentStore::new(&specs, &config, &patient(1)).unwrap()),
+                DeterministicRng::new(seed),
+            ),
+            _ => Subject::Sharded(
+                ConcurrentStore::new(&specs, &config, &patient(shards), seed).unwrap(),
+            ),
+        });
+        for (shards, mut store) in subjects.enumerate() {
+            let mut model = ReturnModel::default();
+            let mut drained = false;
+            for step in 0..3_000usize {
+                let d = decisions[step % decisions.len()].wrapping_mul(step as u32 + 1) >> 4;
+                // The first `pinned` copies issued stay held until `release_at`.
+                let free = if step < release_at { pinned.min(model.held.len()) } else { 0 };
+                let (task, copy) = match d % 16 {
+                    0..=6 if !drained => match store.request_work() {
+                        Issue::Work(a) => {
+                            model.issued(a);
+                            continue;
+                        }
+                        Issue::Idle => {
+                            let a = model.held[0];
+                            (a.task, a.copy)
+                        }
+                        Issue::Drained => {
+                            drained = true;
+                            continue;
+                        }
+                    },
+                    _ if model.held.len() > free && d % 16 < 10 => {
+                        let a = model.held[free + d as usize % (model.held.len() - free)];
+                        (a.task, a.copy)
+                    }
+                    10 | 11 if !model.returned.is_empty() => {
+                        model.returned[d as usize % model.returned.len()]
+                    }
+                    12 | 13 if !model.tasks.is_empty() => {
+                        let a = model.held.first().map_or_else(
+                            || model.returned[d as usize % model.returned.len()].0,
+                            |a| a.task,
+                        );
+                        let mult = model.tasks[&a.0].0;
+                        (a, if d % 16 == 12 { mult } else { u32::MAX })
+                    }
+                    14 => (TaskId(u64::from(d) % total), d % 5),
+                    15 => (TaskId(if d % 2 == 0 { u64::MAX } else { total + u64::from(d % 3) }), 0),
+                    _ => continue,
+                };
+                if let Err(e) = model.send(&mut store, task, copy, total) {
+                    prop_assert!(false, "{} shards (0: single stream), step {}: {}",
+                        shards, step, e);
+                }
+                if step % 50 == 0 {
+                    store.check_invariants();
+                    let stats = store.stats();
+                    prop_assert_eq!((stats.activated_tasks, stats.completed_tasks),
+                        model.tasks_seen());
+                }
+            }
+            // Return everything still held, oldest first, then drain.
+            while let Some(a) = model.held.first().copied() {
+                if let Err(e) = model.send(&mut store, a.task, a.copy, total) {
+                    prop_assert!(false, "{} shards, final returns: {}", shards, e);
+                }
+            }
+            loop {
+                match store.request_work() {
+                    Issue::Work(a) => {
+                        model.issued(a);
+                        if let Err(e) = model.send(&mut store, a.task, a.copy, total) {
+                            prop_assert!(false, "{} shards, drain: {}", shards, e);
+                        }
+                    }
+                    Issue::Idle => prop_assert!(false, "idle with nothing held"),
+                    Issue::Drained => break,
+                }
+            }
+            store.check_invariants();
+            prop_assert_eq!(model.tasks_seen(), (total, total));
+            let stats = store.stats();
+            prop_assert_eq!((stats.activated_tasks, stats.completed_tasks), (total, total));
+            for (task, copy) in model.returned.iter().step_by(7) {
+                let want = model.expect(*task, *copy, total);
+                prop_assert_eq!(store.return_result(*task, *copy), want);
             }
         }
     }
