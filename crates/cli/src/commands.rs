@@ -24,6 +24,7 @@ use redundancy_stats::{
     parallel_sweep, sweep_thread_split, DeterministicRng, SamplerMode, TrialConfig,
 };
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 /// Errors surfaced to the user.
 #[derive(Debug)]
@@ -1089,49 +1090,35 @@ struct Recovery {
     torn_tail: bool,
 }
 
-/// The serve backend every transport drives through one generic surface.
+/// The serve backend every transport drives: the store of either flavor,
+/// owned outright, behind the journaling wrapper (whose writer is `None`
+/// when `--journal` is not given).  The journal's record order *is* the
+/// call order, which is what makes replay deterministic.
 ///
-/// Journaling serializes events, so a journaled session of either store
-/// flavor runs behind one lock (`Locked`) — the journal's record order
-/// *is* the call order, which is what makes replay deterministic.  The
-/// single-stream session needs that lock anyway; the per-shard store
-/// keeps its full per-shard concurrency only while unjournaled
-/// (`Concurrent`).
-// One backend exists per serve run; the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    /// Either store flavor, serialized behind one lock, journaled or not.
-    Locked(std::sync::Mutex<JournaledStore<StoreEnum>>),
-    /// The per-shard store on its own per-shard locks (no journal).
-    Concurrent(ConcurrentStore),
-}
+/// Every method that answers takes `&mut self`: the stdio loop and the
+/// epoll readiness loop are one thread that answers one frame at a time,
+/// so they own the backend, and a request takes no lock and no atomic
+/// read-modify-write.  The threaded fallback (`--io threads`) shares it
+/// behind one `Mutex` of its own.
+struct Backend(JournaledStore<StoreEnum>);
 
 impl Backend {
     /// Answer one protocol request, formatting the reply into `reply`.
     /// Returns true when the request was `shutdown`.
-    fn handle_into(&self, req: &str, reply: &mut String) -> bool {
-        match self {
-            Backend::Locked(m) => {
-                let mut js = m.lock().expect("serve backend poisoned");
-                handle_request(&mut *js, req, reply)
-            }
-            Backend::Concurrent(c) => c.handle_into(req, reply),
-        }
+    fn handle_into(&mut self, req: &str, reply: &mut String) -> bool {
+        handle_request(&mut self.0, req, reply)
     }
 
     /// Answer one protocol request into an owned [`Reply`].
-    fn handle(&self, req: &str) -> Reply {
+    fn handle(&mut self, req: &str) -> Reply {
         let mut text = String::new();
         let shutdown = self.handle_into(req, &mut text);
         Reply { text, shutdown }
     }
 
     /// Drain the store to completion in process.
-    fn drain(&self) {
-        match self {
-            Backend::Locked(m) => m.lock().expect("serve backend poisoned").drain(),
-            Backend::Concurrent(c) => c.drain(),
-        }
+    fn drain(&mut self) {
+        self.0.drain();
     }
 
     /// Tear down into the run summary: final stats, drained state, the
@@ -1139,45 +1126,50 @@ impl Backend {
     /// A journal append or flush failure surfaces here as an error — the
     /// session itself finished, but its log cannot be trusted.
     fn finish(self, journal_path: Option<&str>) -> Result<ServeRun, CliError> {
-        match self {
-            Backend::Locked(m) => {
-                let js = m
-                    .into_inner()
-                    .map_err(|_| CliError::Io("serve backend poisoned".into()))?;
-                let stats = js.stats();
-                let state = DrainState::of(&js);
-                let (store, writer) = js.finish().map_err(|e| {
-                    CliError::Io(format!(
-                        "journal {}: {e}",
-                        journal_path.unwrap_or("<unset>")
-                    ))
-                })?;
-                let journal = match (writer, journal_path) {
-                    (Some(w), Some(path)) => Some(JournalSummary {
-                        path: path.to_string(),
-                        policy: w.policy(),
-                        records: w.records(),
-                        bytes: w.bytes(),
-                        synced: w.synced(),
-                        chain: w.chain(),
-                    }),
-                    _ => None,
-                };
-                Ok(ServeRun {
-                    stats,
-                    state,
-                    store: store.into_concurrent(),
-                    journal,
-                })
-            }
-            Backend::Concurrent(c) => Ok(ServeRun {
-                stats: c.stats(),
-                state: DrainState::of(&&c),
-                store: Some(c),
-                journal: None,
+        let js = self.0;
+        let stats = js.stats();
+        let state = DrainState::of(&js);
+        let (store, writer) = js.finish().map_err(|e| {
+            CliError::Io(format!(
+                "journal {}: {e}",
+                journal_path.unwrap_or("<unset>")
+            ))
+        })?;
+        let journal = match (writer, journal_path) {
+            (Some(w), Some(path)) => Some(JournalSummary {
+                path: path.to_string(),
+                policy: w.policy(),
+                records: w.records(),
+                bytes: w.bytes(),
+                synced: w.synced(),
+                chain: w.chain(),
             }),
-        }
+            _ => None,
+        };
+        Ok(ServeRun {
+            stats,
+            state,
+            store: store.into_concurrent(),
+            journal,
+        })
     }
+}
+
+/// The threaded fallback's backend: one lock, shared by every connection
+/// thread.
+type SharedBackend = Arc<Mutex<Backend>>;
+
+/// Answer one request on a connection thread of the threaded fallback.
+fn answer_shared(backend: &Mutex<Backend>, req: &str) -> Reply {
+    backend.lock().expect("serve backend poisoned").handle(req)
+}
+
+/// Take the backend back once every connection thread has finished.
+fn unshare(shared: SharedBackend) -> Result<Backend, CliError> {
+    Arc::try_unwrap(shared)
+        .map_err(|_| CliError::Io("backend still shared after the connections closed".into()))?
+        .into_inner()
+        .map_err(|_| CliError::Io("serve backend poisoned".into()))
 }
 
 /// Resolve `--io` to a concrete transport.  `Auto` prefers the epoll
@@ -1206,7 +1198,7 @@ fn resolve_io(io: IoMode) -> Result<bool, CliError> {
 /// default in-process drain that also checks the matching oracle.  Both
 /// TCP transports run on the epoll readiness loop where available (or the
 /// threaded fallback, `--io threads`), and `--streams per-shard` swaps the
-/// single-stream session for the per-shard-locked [`ConcurrentStore`].
+/// single-stream session for the per-shard-stream [`ConcurrentStore`].
 #[allow(clippy::too_many_arguments)]
 fn serve_cmd(
     scheme: SchemeName,
@@ -1252,7 +1244,7 @@ fn serve_cmd(
     // O(groups), and the store's task limit is checked before anything per
     // task is allocated.
     let groups = plan_groups(&plan);
-    let (backend, recovery) = make_backend(
+    let (mut backend, recovery) = make_backend(
         &groups,
         &campaign,
         &serve,
@@ -1369,28 +1361,15 @@ fn make_backend(
     sync: SyncPolicy,
     recover: bool,
 ) -> Result<(Backend, Option<Recovery>), CliError> {
-    let Some(path) = journal else {
-        // No journal: the single-stream session serializes on one lock
-        // (as it always has); the per-shard store keeps its shard locks.
-        let backend = match streams {
-            StreamMode::Single => {
-                let store = StoreEnum::from_groups(groups, campaign, serve, seed, streams)
-                    .map_err(CliError::Invalid)?;
-                Backend::Locked(std::sync::Mutex::new(JournaledStore::new(store, None)))
-            }
-            StreamMode::PerShard => Backend::Concurrent(
-                ConcurrentStore::from_groups(groups, campaign, serve, seed)
-                    .map_err(CliError::Invalid)?,
-            ),
-        };
-        return Ok((backend, None));
-    };
-    if recover {
+    if let (Some(path), true) = (journal, recover) {
         return recover_backend(groups, campaign, serve, seed, streams, path, sync);
     }
     // The store first: a workload it refuses leaves no journal behind.
     let store = StoreEnum::from_groups(groups, campaign, serve, seed, streams)
         .map_err(CliError::Invalid)?;
+    let Some(path) = journal else {
+        return Ok((Backend(JournaledStore::new(store, None)), None));
+    };
     let file = std::fs::File::create(path)
         .map_err(|e| CliError::Invalid(format!("--journal {path}: {e}")))?;
     let mut writer = JournalWriter::new(file, sync);
@@ -1405,13 +1384,7 @@ fn make_backend(
             total_tasks: groups.iter().map(|g| g.count).sum(),
         }))
         .map_err(|e| CliError::Io(format!("journal {path}: {e}")))?;
-    Ok((
-        Backend::Locked(std::sync::Mutex::new(JournaledStore::new(
-            store,
-            Some(writer),
-        ))),
-        None,
-    ))
+    Ok((Backend(JournaledStore::new(store, Some(writer))), None))
 }
 
 /// `--recover`: replay the journal (tolerating a torn tail), check its
@@ -1487,7 +1460,7 @@ fn recover_backend(
         return Err(CliError::Io(format!("journal {path}: {e}")));
     }
     Ok((
-        Backend::Locked(std::sync::Mutex::new(js)),
+        Backend(js),
         Some(Recovery {
             records: replayed.records,
             reverted,
@@ -1681,16 +1654,13 @@ fn journal_inspect(path: &str) -> Result<String, CliError> {
 }
 
 /// Accept exactly `clients` connections off a blocking listener and serve
-/// each on its own thread through the shared handler (the portable
+/// each on its own thread through the shared backend (the portable
 /// `--io threads` drive loop).
-fn serve_threaded_conns<F>(
+fn serve_threaded_conns(
     listener: &std::net::TcpListener,
     clients: usize,
-    handler: std::sync::Arc<F>,
-) -> Result<(), CliError>
-where
-    F: Fn(&str) -> Reply + Send + Sync + 'static,
-{
+    backend: &SharedBackend,
+) -> Result<(), CliError> {
     let mut conns = Vec::new();
     for _ in 0..clients {
         let (stream, _) = listener
@@ -1701,11 +1671,11 @@ where
         stream
             .set_nodelay(true)
             .map_err(|e| CliError::Io(e.to_string()))?;
-        let handler = std::sync::Arc::clone(&handler);
+        let backend = Arc::clone(backend);
         conns.push(std::thread::spawn(move || -> std::io::Result<()> {
             let mut r = stream.try_clone()?;
             let mut w = stream;
-            serve_connection(&mut r, &mut w, |req| handler(req))?;
+            serve_connection(&mut r, &mut w, |req| answer_shared(&backend, req))?;
             Ok(())
         }));
     }
@@ -1743,13 +1713,12 @@ fn join_drivers(
 /// many connections off the shared backend — on the epoll readiness loop
 /// or a thread per connection.
 fn serve_tcp_drive(
-    backend: Backend,
+    mut backend: Backend,
     port: Option<u16>,
     clients: usize,
     use_epoll: bool,
 ) -> Result<Backend, CliError> {
     use std::net::TcpListener;
-    use std::sync::Arc;
     let listener = TcpListener::bind(("127.0.0.1", port.unwrap_or(0)))
         .map_err(|e| CliError::Io(format!("binding the TCP listener: {e}")))?;
     let addr = listener
@@ -1766,16 +1735,11 @@ fn serve_tcp_drive(
         join_drivers(drivers)?;
         Ok(backend)
     } else {
-        let backend = Arc::new(backend);
-        let handler = {
-            let backend = Arc::clone(&backend);
-            Arc::new(move |req: &str| backend.handle(req))
-        };
+        let shared = Arc::new(Mutex::new(backend));
         let drivers = spawn_drivers(addr, clients);
-        serve_threaded_conns(&listener, clients, handler)?;
+        serve_threaded_conns(&listener, clients, &shared)?;
         join_drivers(drivers)?;
-        Arc::try_unwrap(backend)
-            .map_err(|_| CliError::Io("backend still shared after the drain".into()))
+        unshare(shared)
     }
 }
 
@@ -1842,10 +1806,9 @@ fn serve_tcp_daemon(backend: Backend, port: u16, use_epoll: bool) -> Result<Back
 /// flag — no throwaway self-connection needed to unblock an `accept`.
 fn serve_daemon_on(
     listener: std::net::TcpListener,
-    backend: Backend,
+    mut backend: Backend,
     use_epoll: bool,
 ) -> Result<Backend, CliError> {
-    use std::sync::Arc;
     let addr = listener
         .local_addr()
         .map_err(|e| CliError::Io(e.to_string()))?;
@@ -1858,14 +1821,9 @@ fn serve_daemon_on(
             .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
         Ok(backend)
     } else {
-        let backend = Arc::new(backend);
-        let handler = {
-            let backend = Arc::clone(&backend);
-            Arc::new(move |req: &str| backend.handle(req))
-        };
-        serve_daemon_threads(&listener, handler)?;
-        Arc::try_unwrap(backend)
-            .map_err(|_| CliError::Io("backend still shared after shutdown".into()))
+        let shared = Arc::new(Mutex::new(backend));
+        serve_daemon_threads(&listener, &shared)?;
+        unshare(shared)
     }
 }
 
@@ -1873,15 +1831,11 @@ fn serve_daemon_on(
 /// each connection on its own thread, and stop accepting once any of them
 /// sees `shutdown`.  In-flight connections are joined (drained), exactly
 /// like the epoll loop's shutdown semantics.
-fn serve_daemon_threads<F>(
+fn serve_daemon_threads(
     listener: &std::net::TcpListener,
-    handler: std::sync::Arc<F>,
-) -> Result<(), CliError>
-where
-    F: Fn(&str) -> Reply + Send + Sync + 'static,
-{
+    backend: &SharedBackend,
+) -> Result<(), CliError> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     listener
         .set_nonblocking(true)
         .map_err(|e| CliError::Io(e.to_string()))?;
@@ -1896,12 +1850,12 @@ where
                     .set_nonblocking(false)
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 let _ = stream.set_nodelay(true);
-                let handler = Arc::clone(&handler);
+                let backend = Arc::clone(backend);
                 let stop = Arc::clone(&stop);
                 conns.push(std::thread::spawn(move || -> std::io::Result<()> {
                     let mut r = stream.try_clone()?;
                     let mut w = stream;
-                    let end = serve_connection(&mut r, &mut w, |req| handler(req))?;
+                    let end = serve_connection(&mut r, &mut w, |req| answer_shared(&backend, req))?;
                     if end == SessionEnd::Shutdown {
                         stop.store(true, Ordering::SeqCst);
                     }

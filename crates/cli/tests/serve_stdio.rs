@@ -33,6 +33,37 @@ fn vm_hwm_kb(pid: u32) -> u64 {
         .unwrap_or_else(|| panic!("no VmHWM in {status}"))
 }
 
+/// An unknown verb as long as a frame allows is echoed only as far as
+/// keeps the reply a legal frame: the daemon answers it with a
+/// `MAX_FRAME`-byte `err`, and the session goes on.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_frame_long_unknown_verb_earns_a_legal_err_frame() {
+    const MAX_FRAME: usize = 4096;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(["serve", "--stdio", "--tasks", "10"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawning the daemon");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let verb = "x".repeat(MAX_FRAME);
+    for request in [verb.as_str(), "request-work", "shutdown"] {
+        stdin.write_all(&frame(request)).unwrap();
+    }
+    drop(stdin);
+    let err = read_reply(&mut stdout);
+    assert_eq!(err.len(), MAX_FRAME);
+    assert_eq!(
+        err.strip_prefix("err unknown-verb "),
+        Some(&verb[..MAX_FRAME - "err unknown-verb ".len()])
+    );
+    assert!(read_reply(&mut stdout).starts_with("work "));
+    assert_eq!(read_reply(&mut stdout), "bye");
+    assert!(child.wait().unwrap().success());
+}
+
 /// A serve daemon builds its stores from the plan's spec groups, so the
 /// memory it holds before the first request does not grow with the task
 /// count: 20M tasks fit in well under a byte per task.

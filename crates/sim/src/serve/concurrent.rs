@@ -20,6 +20,17 @@
 //!   follows the tasks in flight).  [`ServeStats`] is aggregated from the
 //!   per-shard cells on demand.
 //!
+//! * **Exclusive access.**  An owner with `&mut` access — the epoll
+//!   loop, which serves one request at a time on one thread — issues and
+//!   returns through [`request_work_mut`](ConcurrentStore::request_work_mut)
+//!   and [`return_result_mut`](ConcurrentStore::return_result_mut), which
+//!   reach each shard through [`Mutex::get_mut`] and the router and expiry
+//!   mirrors through `get_mut`: no lock and no atomic read-modify-write
+//!   per request.  Both access paths run the same per-shard routine and
+//!   the same round-robin scan, so they route, draw and publish
+//!   identically.  The per-shard locks remain for `&self` callers: the
+//!   threaded tests and bench ladder, and the shard-by-shard oracle.
+//!
 //! * **O(groups) construction.**  The store is built from the plan's spec
 //!   groups ([`from_groups`](ConcurrentStore::from_groups)) and hashes no
 //!   id up front: a shard hashes an id when its activation walk reaches
@@ -100,6 +111,16 @@ struct Locked {
     rng: DeterministicRng,
 }
 
+impl Locked {
+    /// Issue one copy from the shard's machine on its own stream,
+    /// returning it with the shard's `(timeouts, lost)` counters after
+    /// the tick, for the caller to publish.
+    fn issue(&mut self) -> (Issue, (u64, u64)) {
+        let issue = self.store.request_work(&mut self.rng);
+        (issue, self.store.expiry_counters())
+    }
+}
+
 /// One shard of the concurrent store: its locked state, plus its expiry
 /// counters mirrored outside the lock so the journal layer can read them
 /// on every tick without locking every shard.  The mirrors are statistics
@@ -112,10 +133,59 @@ struct Shard {
     lost: AtomicU64,
 }
 
-/// The per-shard-locked, per-shard-stream serve store.  Every method takes
-/// `&self`: requests route to a shard and lock only that shard, so clients
-/// on different shards proceed in parallel.  See the module docs for the
-/// determinism contract.
+impl Shard {
+    /// Issue through the shard's lock, publishing its expiry counters
+    /// before the lock is released.
+    fn issue_locked(&self) -> Issue {
+        let mut locked = self.locked.lock().expect("shard lock poisoned");
+        let (issue, (timeouts, lost)) = locked.issue();
+        self.timeouts.store(timeouts, Ordering::Relaxed);
+        self.lost.store(lost, Ordering::Relaxed);
+        issue
+    }
+
+    /// Issue with exclusive access: the same routine, with no lock taken
+    /// and the mirrors written in place.
+    fn issue_exclusive(&mut self) -> Issue {
+        let (issue, (timeouts, lost)) = self.locked_mut().issue();
+        *self.timeouts.get_mut() = timeouts;
+        *self.lost.get_mut() = lost;
+        issue
+    }
+
+    fn locked_mut(&mut self) -> &mut Locked {
+        self.locked.get_mut().expect("shard lock poisoned")
+    }
+}
+
+/// Scan `n` shards round-robin from shard `start` (below `n`), issuing
+/// from each in turn through `issue_from` until one hands out work.
+///
+/// `Drained` is only answered when *every* shard reported drained in this
+/// scan — and drained-ness is monotone (a judged task never un-judges), so
+/// the answer cannot be a stale race: any shard with live work forces
+/// `Work` or `Idle`.
+fn round_robin(n: usize, start: usize, mut issue_from: impl FnMut(usize) -> Issue) -> Issue {
+    let mut any_idle = false;
+    for s in (start..n).chain(0..start) {
+        match issue_from(s) {
+            Issue::Work(a) => return Issue::Work(a),
+            Issue::Idle => any_idle = true,
+            Issue::Drained => {}
+        }
+    }
+    if any_idle {
+        Issue::Idle
+    } else {
+        Issue::Drained
+    }
+}
+
+/// The per-shard-locked, per-shard-stream serve store.  Every method but
+/// the `_mut` twins takes `&self`: requests route to a shard and lock only
+/// that shard, so clients on different shards proceed in parallel.  An
+/// owner with exclusive access skips the locks through the `_mut` twins.
+/// See the module docs for the determinism contract.
 #[derive(Debug)]
 pub struct ConcurrentStore {
     shards: Vec<Shard>,
@@ -209,42 +279,25 @@ impl ConcurrentStore {
         (0..self.shards.len()).all(|s| self.lock(s).store.is_drained())
     }
 
-    /// Issue from shard `s`, publishing the shard's expiry counters
-    /// before the lock is released.
-    fn request_from(&self, s: usize) -> Issue {
-        let shard = &self.shards[s];
-        let mut g = shard.locked.lock().expect("shard lock poisoned");
-        let Locked { store, rng } = &mut *g;
-        let issue = store.request_work(rng);
-        let (timeouts, lost) = store.expiry_counters();
-        shard.timeouts.store(timeouts, Ordering::Relaxed);
-        shard.lost.store(lost, Ordering::Relaxed);
-        issue
-    }
-
     /// Hand out the next copy of work, scanning shards round-robin from
     /// the routing cursor and touching one shard lock at a time.
-    ///
-    /// `Drained` is only answered when *every* shard reported drained in
-    /// this scan — and drained-ness is monotone (a judged task never
-    /// un-judges), so the answer cannot be a stale race: any shard with
-    /// live work forces `Work` or `Idle`.
     pub fn request_work(&self) -> Issue {
         let n = self.shards.len();
         let start = self.router.fetch_add(1, Ordering::Relaxed) % n;
-        let mut any_idle = false;
-        for k in 0..n {
-            match self.request_from((start + k) % n) {
-                Issue::Work(a) => return Issue::Work(a),
-                Issue::Idle => any_idle = true,
-                Issue::Drained => {}
-            }
-        }
-        if any_idle {
-            Issue::Idle
-        } else {
-            Issue::Drained
-        }
+        round_robin(n, start, |s| self.shards[s].issue_locked())
+    }
+
+    /// [`request_work`](Self::request_work) with exclusive access: the
+    /// same route and the same draws, with no lock and no atomic
+    /// read-modify-write.
+    pub fn request_work_mut(&mut self) -> Issue {
+        let n = self.shards.len();
+        // The router stays below `n` here, so the steady state divides
+        // nothing; `% n` only reduces a count the locked path left.
+        let router = self.router.get_mut();
+        let start = if *router < n { *router } else { *router % n };
+        *router = if start + 1 == n { 0 } else { start + 1 };
+        round_robin(n, start, |s| self.shards[s].issue_exclusive())
     }
 
     /// Accept the return of one in-flight copy, locking only the owning
@@ -253,6 +306,13 @@ impl ConcurrentStore {
         self.lock(shard_of(task.0, self.shards.len()))
             .store
             .return_result(task, copy)
+    }
+
+    /// [`return_result`](Self::return_result) with exclusive access: no
+    /// lock is taken.
+    pub fn return_result_mut(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
+        let s = shard_of(task.0, self.shards.len());
+        self.shards[s].locked_mut().store.return_result(task, copy)
     }
 
     /// The live session snapshot: the workload's totals, plus the
@@ -389,7 +449,7 @@ impl ConcurrentStore {
     pub fn drain_shard_by_shard(&self) {
         for s in 0..self.shards.len() {
             loop {
-                match self.request_from(s) {
+                match self.shards[s].issue_locked() {
                     Issue::Work(a) => {
                         self.return_result(a.task, a.copy)
                             .expect("drain returned an issued copy");
@@ -435,6 +495,43 @@ impl ConcurrentStore {
     }
 }
 
+/// The owned store: issues and returns take the exclusive-access path.
+impl WorkStore for ConcurrentStore {
+    fn request_work(&mut self) -> Issue {
+        self.request_work_mut()
+    }
+
+    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
+        self.return_result_mut(task, copy)
+    }
+
+    fn stats(&self) -> ServeStats {
+        ConcurrentStore::stats(self)
+    }
+
+    fn merged_outcome(&self) -> CampaignOutcome {
+        ConcurrentStore::merged_outcome(self)
+    }
+
+    fn final_rngs(&self) -> Vec<DeterministicRng> {
+        ConcurrentStore::final_rngs(self)
+    }
+
+    fn is_drained(&self) -> bool {
+        ConcurrentStore::is_drained(self)
+    }
+
+    fn expiry_counters(&self) -> (u64, u64) {
+        ConcurrentStore::expiry_counters(self)
+    }
+
+    fn reset_in_flight(&mut self) -> u64 {
+        ConcurrentStore::reset_in_flight(self)
+    }
+}
+
+/// A shared reference: issues and returns take the per-shard locks, so
+/// threads can serve one store concurrently.
 impl WorkStore for &ConcurrentStore {
     fn request_work(&mut self) -> Issue {
         ConcurrentStore::request_work(self)
@@ -544,6 +641,51 @@ mod tests {
                 assert_eq!(live.stats().render(), oracle.stats().render());
             }
         }
+    }
+
+    #[test]
+    fn exclusive_access_routes_draws_and_publishes_like_the_locks() {
+        // Timeouts trip and copies are lost, so the expiry mirrors move;
+        // every third copy is held, so shards go idle as well as drained.
+        let tasks = specs(300);
+        let serve = ServeConfig {
+            faults: FaultModel {
+                timeout: 40,
+                max_retries: 1,
+                ..FaultModel::none()
+            },
+            ..ServeConfig::new(3)
+        };
+        // A third store alternates the two paths, so they must agree on
+        // the router they share.
+        let shared = ConcurrentStore::new(&tasks, &campaign(), &serve, 17).unwrap();
+        let mut owned = ConcurrentStore::new(&tasks, &campaign(), &serve, 17).unwrap();
+        let mut mixed = ConcurrentStore::new(&tasks, &campaign(), &serve, 17).unwrap();
+        for i in 0..5_000u64 {
+            let issue = shared.request_work();
+            assert_eq!(owned.request_work_mut(), issue, "request {i}");
+            let mixed_issue = if i % 5 < 2 {
+                mixed.request_work()
+            } else {
+                mixed.request_work_mut()
+            };
+            assert_eq!(mixed_issue, issue, "request {i}");
+            assert_eq!(owned.expiry_counters(), shared.expiry_counters());
+            if let Issue::Work(a) = issue {
+                if i % 3 != 0 {
+                    let ack = shared.return_result(a.task, a.copy);
+                    assert_eq!(owned.return_result_mut(a.task, a.copy), ack);
+                    assert_eq!(mixed.return_result_mut(a.task, a.copy), ack);
+                }
+            }
+        }
+        assert_eq!(
+            owned.return_result_mut(TaskId(0), 1),
+            shared.return_result(TaskId(0), 1)
+        );
+        assert!(owned.expiry_counters().0 > 0, "no timeout tripped");
+        owned.check_invariants();
+        assert_drain_equivalent(&DrainState::of(&owned), &DrainState::of(&&shared));
     }
 
     #[test]

@@ -20,7 +20,12 @@
 //! loop stops answering and reading that connection (`EPOLLIN` is
 //! disarmed) until the client reads, so a client that never reads fills
 //! its own socket buffers, not the daemon's memory.  Connections are
-//! indexed by descriptor, not hashed.  Malformed input earns the same
+//! indexed by descriptor, not hashed.
+//!
+//! The loop is one thread and answers one frame at a time, so its handler
+//! is an `FnMut` that owns the store: the CLI's daemon answers through
+//! exclusive (`&mut`) access, and no request takes a lock or an atomic
+//! read-modify-write.  Malformed input earns the same
 //! structured `err` frames as
 //! [`serve_connection`](super::serve_connection): a truncated frame or an
 //! oversized prefix answers `err` and closes after the flush; invalid
@@ -379,6 +384,13 @@ mod linux {
         }
     }
 
+    /// An `epoll_wait` timeout covering `left`: whole milliseconds,
+    /// rounded up, so the last fraction of a pause is slept, not spun
+    /// through with zero timeouts.
+    pub(super) fn wait_ms(left: Duration) -> i32 {
+        i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+    }
+
     /// The listener's place in the loop.
     #[derive(Clone, Copy, PartialEq, Eq)]
     enum Accepting {
@@ -419,9 +431,7 @@ mod linux {
                 return Ok(());
             }
             let timeout = match accepting {
-                Accepting::Paused(since) => {
-                    ACCEPT_RETRY.saturating_sub(since.elapsed()).as_millis() as i32
-                }
+                Accepting::Paused(since) => wait_ms(ACCEPT_RETRY.saturating_sub(since.elapsed())),
                 _ => -1,
             };
             let ready = ep.wait(&mut events, timeout)?;
@@ -616,6 +626,21 @@ mod tests {
         )
         .unwrap();
         decode_frames(&client.join().unwrap())
+    }
+
+    #[test]
+    fn accept_pauses_round_their_wait_up_to_whole_milliseconds() {
+        use std::time::Duration;
+        for (left, ms) in [
+            (Duration::ZERO, 0),
+            (Duration::from_micros(1), 1),
+            (Duration::from_micros(999), 1),
+            (Duration::from_millis(1), 1),
+            (Duration::from_micros(1_001), 2),
+            (Duration::from_millis(100), 100),
+        ] {
+            assert_eq!(linux::wait_ms(left), ms, "{left:?}");
+        }
     }
 
     #[test]

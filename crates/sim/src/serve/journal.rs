@@ -765,6 +765,10 @@ impl<S: WorkStore> JournaledStore<S> {
 
 impl<S: WorkStore> WorkStore for JournaledStore<S> {
     fn request_work(&mut self) -> Issue {
+        if self.writer.is_none() {
+            // Nothing is logged, so the expiry snapshots are not needed.
+            return self.store.request_work();
+        }
         let before = self.store.expiry_counters();
         let issue = self.store.request_work();
         let after = self.store.expiry_counters();

@@ -43,10 +43,17 @@
 //! [`replay_with`]) group their input once and call the groups path.
 //!
 //! [`epoll`] supplies the Linux readiness-loop transport both TCP serve
-//! modes run on (with the threaded loop kept as the portable fallback),
+//! modes run on (with the threaded loop, which shares the store behind one
+//! lock, kept as the portable fallback),
 //! and [`journal`] layers an append-only, checksummed event log over any
 //! [`WorkStore`] so a crashed session can be [`replay`]ed back to a
 //! bit-identical store.
+//!
+//! The epoll and stdio transports serve one request at a time on one
+//! thread, so they own their store and reach it with exclusive access:
+//! the owned [`ConcurrentStore`] (and [`StoreEnum`] over it) issues and
+//! returns through `get_mut`, taking no lock.  The per-shard locks remain
+//! for `&self` callers, which share one store across threads.
 
 pub mod concurrent;
 pub mod epoll;
@@ -81,12 +88,12 @@ use redundancy_stats::DeterministicRng;
 /// determinism oracles compare (outcome, final RNG streams, stats), and
 /// the recovery hooks the journal layer wraps.
 ///
-/// Both store flavors implement it — [`ServeSession`] (single stream,
-/// `&mut self` behind one lock) and [`&ConcurrentStore`](ConcurrentStore)
-/// (per-shard locks, so the *shared reference* is the mutable handle) —
-/// as do the [`StoreEnum`] dispatcher and the journaling decorator
-/// [`JournaledStore`], so [`handle_request`] and the CLI's serve driver
-/// are written once, generically.
+/// Both store flavors implement it — [`ServeSession`] (single stream),
+/// the owned [`ConcurrentStore`] (exclusive access, no lock) and
+/// [`&ConcurrentStore`](ConcurrentStore) (per-shard locks, so the *shared
+/// reference* is the mutable handle) — as do the [`StoreEnum`] dispatcher
+/// and the journaling decorator [`JournaledStore`], so [`handle_request`]
+/// and the CLI's serve driver are written once, generically.
 pub trait WorkStore {
     /// Hand out the next copy of work (advancing the tick clock, which
     /// expires overdue in-flight copies).
@@ -224,14 +231,14 @@ impl WorkStore for StoreEnum {
     fn request_work(&mut self) -> Issue {
         match self {
             StoreEnum::Single(s) => WorkStore::request_work(s),
-            StoreEnum::PerShard(c) => c.request_work(),
+            StoreEnum::PerShard(c) => c.request_work_mut(),
         }
     }
 
     fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
         match self {
             StoreEnum::Single(s) => WorkStore::return_result(s, task, copy),
-            StoreEnum::PerShard(c) => c.return_result(task, copy),
+            StoreEnum::PerShard(c) => c.return_result_mut(task, copy),
         }
     }
 

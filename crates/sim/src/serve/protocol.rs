@@ -27,7 +27,8 @@
 //!
 //! * The first word is the verb, matched case-sensitively.  An empty
 //!   request answers `err unknown-verb`; any other verb answers
-//!   `err unknown-verb <verb>`.
+//!   `err unknown-verb <verb>`, echoing the verb cut at a char boundary
+//!   where the reply would pass [`MAX_FRAME`].
 //! * `request-work`, `stats` and `shutdown` ignore any further words.
 //! * `return-result` takes exactly two more words, `<task>` (a `u64`) and
 //!   `<copy>` (a `u32`), parsed by `str::parse`: an optional `+`
@@ -35,6 +36,14 @@
 //!   missing or extra word, a `-` sign, any other character, or a value
 //!   that overflows its type answers
 //!   `err bad-request return-result expects <task> <copy>`.
+//!
+//! The canonical spellings of the two hot verbs — exactly `request-work`,
+//! and `return-result`, one space, ASCII digits, one space, ASCII digits —
+//! are answered straight off the bytes, before any tokenizing.  That is a
+//! shortcut, not a second grammar: it accepts only lines the rules above
+//! accept, parses them to the same values, and hands every other spelling
+//! (an extra space, a tab, a `+`, an overflow, another verb, non-ASCII) to
+//! the tokenizer.
 //!
 //! Replies are built by [`handle_request`], the one place every transport
 //! formats them: a `work` reply is three decimal integers without leading
@@ -46,7 +55,9 @@
 
 use std::io::{self, Read, Write};
 
-use super::store::{AssignmentStore, Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
+use super::store::{
+    Assignment, AssignmentStore, Issue, ReturnAck, ServeConfig, ServeError, ServeStats,
+};
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
@@ -167,14 +178,29 @@ pub enum SessionEnd {
 /// Parse one request line and format the response into `reply` (cleared
 /// first); returns true when the session should end (`shutdown`).  Any
 /// [`WorkStore`] — the single-stream [`ServeSession`], the
-/// per-shard-stream [`&ConcurrentStore`](super::ConcurrentStore), or a
-/// journaling wrapper over either — can sit behind it, and this is the
-/// *only* place request text is parsed and reply text is formatted, so
-/// the store flavors and the transports cannot drift byte-wise.  The
-/// grammar is in the module docs; the reply bytes for every verb are
-/// pinned by the protocol tests and the golden snapshots.
+/// per-shard-stream [`ConcurrentStore`](super::ConcurrentStore) (owned, or
+/// shared as `&ConcurrentStore`), or a journaling wrapper over either —
+/// can sit behind it, and this is the *only* place request text is parsed
+/// and reply text is formatted, so the store flavors and the transports
+/// cannot drift byte-wise.  The grammar is in the module docs; the reply
+/// bytes for every verb are pinned by the protocol tests and the golden
+/// snapshots.
 pub fn handle_request<S: WorkStore>(src: &mut S, request: &str, reply: &mut String) -> bool {
     reply.clear();
+    // The canonical spellings of the two hot verbs, straight off the
+    // bytes; every other spelling is tokenized below.
+    let bytes = request.as_bytes();
+    if bytes == b"request-work" {
+        push_issue(reply, src.request_work());
+        return false;
+    }
+    if let Some((task, copy)) = bytes
+        .strip_prefix(b"return-result ")
+        .and_then(canonical_return)
+    {
+        push_ack(reply, src.return_result(TaskId(task), copy));
+        return false;
+    }
     if request.is_ascii() {
         dispatch(src, AsciiWords(request), reply)
     } else {
@@ -189,31 +215,15 @@ fn dispatch<'a, S: WorkStore>(
     mut words: impl Iterator<Item = &'a str>,
     reply: &mut String,
 ) -> bool {
-    use std::fmt::Write as _;
     match words.next() {
-        Some("request-work") => match src.request_work() {
-            Issue::Work(a) => {
-                reply.push_str("work ");
-                push_decimal(reply, a.task.0);
-                reply.push(' ');
-                push_decimal(reply, u64::from(a.copy));
-                reply.push(' ');
-                push_decimal(reply, u64::from(a.multiplicity));
-            }
-            Issue::Idle => reply.push_str("idle"),
-            Issue::Drained => reply.push_str("drained"),
-        },
+        Some("request-work") => push_issue(reply, src.request_work()),
         Some("return-result") => {
             let task = words.next().and_then(|t| t.parse::<u64>().ok());
             let copy = words.next().and_then(|c| c.parse::<u32>().ok());
             match (task, copy, words.next()) {
-                (Some(task), Some(copy), None) => match src.return_result(TaskId(task), copy) {
-                    Ok(ack) if ack.task_complete => reply.push_str("ok complete"),
-                    Ok(_) => reply.push_str("ok"),
-                    Err(e) => {
-                        let _ = write!(reply, "err {} {e}", e.code());
-                    }
-                },
+                (Some(task), Some(copy), None) => {
+                    push_ack(reply, src.return_result(TaskId(task), copy))
+                }
                 _ => reply.push_str("err bad-request return-result expects <task> <copy>"),
             }
         }
@@ -224,11 +234,64 @@ fn dispatch<'a, S: WorkStore>(
             return true;
         }
         Some(verb) => {
-            let _ = write!(reply, "err unknown-verb {verb}");
+            reply.push_str(UNKNOWN_VERB);
+            // Echo as much of the verb as keeps the reply a legal frame.
+            reply.push_str(&verb[..verb.floor_char_boundary(MAX_FRAME - UNKNOWN_VERB.len())]);
         }
         None => reply.push_str("err unknown-verb"),
     }
     false
+}
+
+/// The head of the reply to an unknown verb, which echoes the verb after
+/// it.
+const UNKNOWN_VERB: &str = "err unknown-verb ";
+
+/// The `<task> <copy>` of a canonically spelled `return-result`: ASCII
+/// digits, one space, ASCII digits, and nothing else, with the task
+/// fitting `u64` and the copy `u32`.  `None` hands every other spelling to
+/// the tokenizer, which decides it.
+fn canonical_return(args: &[u8]) -> Option<(u64, u32)> {
+    let space = args.iter().position(|&b| b == b' ')?;
+    let task = parse_digits(&args[..space])?;
+    let copy = u32::try_from(parse_digits(&args[space + 1..])?).ok()?;
+    Some((task, copy))
+}
+
+/// A non-empty run of ASCII digits as a `u64`; `None` for an empty run,
+/// any other byte, or a value past `u64::MAX`.
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// Format the reply to a `request-work`.
+fn push_issue(reply: &mut String, issue: Issue) {
+    match issue {
+        Issue::Work(a) => push_work(reply, a),
+        Issue::Idle => reply.push_str("idle"),
+        Issue::Drained => reply.push_str("drained"),
+    }
+}
+
+/// Format the reply to a well-formed `return-result`.
+fn push_ack(reply: &mut String, ack: Result<ReturnAck, ServeError>) {
+    use std::fmt::Write as _;
+    match ack {
+        Ok(ack) if ack.task_complete => reply.push_str("ok complete"),
+        Ok(_) => reply.push_str("ok"),
+        Err(e) => {
+            let _ = write!(reply, "err {} {e}", e.code());
+        }
+    }
 }
 
 /// The words of an ASCII line, split on the ASCII characters
@@ -253,19 +316,54 @@ impl<'a> Iterator for AsciiWords<'a> {
     }
 }
 
-/// Append `n` in decimal.
-fn push_decimal(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// `"00"` through `"99"`, two bytes each.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    pairs
+};
+
+/// Append `work <task> <copy> <mult>`.  The line is built right to left
+/// in one stack buffer, so it is validated and copied once.
+fn push_work(reply: &mut String, a: Assignment) {
+    // "work " plus a `u64` and two `u32`s, space-separated.
+    const LEN: usize = 5 + 20 + 1 + 10 + 1 + 10;
+    let mut buf = [0u8; LEN];
+    let mut at = digits_before(&mut buf, LEN, u64::from(a.multiplicity));
+    at -= 1;
+    buf[at] = b' ';
+    at = digits_before(&mut buf, at, u64::from(a.copy));
+    at -= 1;
+    buf[at] = b' ';
+    at = digits_before(&mut buf, at, a.task.0);
+    at -= 5;
+    buf[at..at + 5].copy_from_slice(b"work ");
+    reply.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII"));
+}
+
+/// Write `n` in decimal, without leading zeros, into the bytes of `buf`
+/// just before `end`, two digits per division; returns where it starts.
+fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + n as u8;
+    }
+    end
 }
 
 /// A single-client session: the store plus the session RNG, with requests
@@ -612,6 +710,53 @@ mod tests {
             s.handle("return-result 99 0").text,
             "err unknown-task task 99 is not in this workload"
         );
+    }
+
+    #[test]
+    fn long_unknown_verbs_are_cut_to_a_legal_frame() {
+        let mut s = session(1, 2, 1);
+        for unit in ["x", "\u{e9}", "\u{4f5c}", "\u{1f600}"] {
+            for len in MAX_FRAME - UNKNOWN_VERB.len()..=MAX_FRAME {
+                // `len` bytes: as many copies of `unit` as fit, then ASCII.
+                let mut verb = unit.repeat(len / unit.len());
+                verb.push_str(&"x".repeat(len - verb.len()));
+                let reply = s.handle(&verb).text;
+                assert!(reply.len() <= MAX_FRAME, "{}-byte reply", reply.len());
+                let echo = reply.strip_prefix(UNKNOWN_VERB).unwrap();
+                assert!(verb.starts_with(echo), "{unit:?} x {len}");
+                // The longest prefix that fits: the next char would not.
+                if let Some(next) = verb[echo.len()..].chars().next() {
+                    assert!(
+                        reply.len() + next.len_utf8() > MAX_FRAME,
+                        "{unit:?} x {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn work_replies_match_display() {
+        let mut values = vec![u64::from(u32::MAX), u64::MAX];
+        for p in 0..20 {
+            let t = 10u64.pow(p);
+            values.extend([t - 1, t, t + 1]);
+        }
+        let small = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+        let mut out = String::from("stale");
+        for &n in &values {
+            for (copy, multiplicity) in [(0, 1), (small(n), small(n / 7)), (small(n / 3), u32::MAX)]
+            {
+                let a = Assignment {
+                    task: TaskId(n),
+                    copy,
+                    multiplicity,
+                };
+                out.clear();
+                push_work(&mut out, a);
+                assert_eq!(out, format!("work {n} {copy} {multiplicity}"));
+            }
+        }
     }
 
     #[test]

@@ -1,21 +1,27 @@
 //! Differential tests of the serve request codec.
 //!
-//! `handle_request` tokenizes and formats at the byte level.  The
-//! reference below is the `split_whitespace` + `str::parse` + `write!`
-//! implementation it replaced, kept here as the grammar's executable
-//! definition.  Both answer the same random request lines against twin
-//! stores — the single-stream session and the per-shard store — and must
-//! agree on every reply byte, every shutdown flag and every stats
-//! snapshot along the way.
+//! `handle_request` tokenizes and formats at the byte level, and answers
+//! the canonical spellings of `request-work` and `return-result` before
+//! tokenizing at all.  The reference below is the `split_whitespace` +
+//! `str::parse` + `write!` implementation it replaced, kept here as the
+//! grammar's executable definition.  Both answer the same request lines
+//! against twin stores — the single-stream session, and the per-shard
+//! store owned (exclusive access) against its twin behind `&` (the shard
+//! locks) — and must agree on every reply byte, every shutdown flag and
+//! every stats snapshot along the way.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use redundancy_core::RealizedPlan;
-use redundancy_sim::serve::{handle_request, Issue, ServeConfig, ServeSession, WorkStore};
+use redundancy_sim::serve::{
+    handle_request, Issue, ServeConfig, ServeSession, WorkStore, MAX_FRAME,
+};
 use redundancy_sim::task::expand_plan;
 use redundancy_sim::{AdversaryModel, CampaignConfig, CheatStrategy, ConcurrentStore, TaskId};
 
-/// The request handler as it was before the byte-level codec.
+/// The request handler as it was before the byte-level codec, with one
+/// change since: an unknown verb is echoed only as far as keeps the reply
+/// within `MAX_FRAME`, cut at a char boundary.
 fn reference_handle_request<S: WorkStore>(src: &mut S, request: &str, reply: &mut String) -> bool {
     use std::fmt::Write as _;
     reply.clear();
@@ -54,6 +60,9 @@ fn reference_handle_request<S: WorkStore>(src: &mut S, request: &str, reply: &mu
         }
         Some(verb) => {
             let _ = write!(reply, "err unknown-verb {verb}");
+            while reply.len() > MAX_FRAME {
+                reply.pop();
+            }
         }
         None => reply.push_str("err unknown-verb"),
     }
@@ -152,7 +161,7 @@ proptest! {
         let serve = ServeConfig::new(2);
         let mut single = ServeSession::new(&specs, &campaign(), &serve, seed).unwrap();
         let mut single_ref = ServeSession::new(&specs, &campaign(), &serve, seed).unwrap();
-        let sharded = ConcurrentStore::new(&specs, &campaign(), &serve, seed).unwrap();
+        let mut sharded = ConcurrentStore::new(&specs, &campaign(), &serve, seed).unwrap();
         let sharded_ref = ConcurrentStore::new(&specs, &campaign(), &serve, seed).unwrap();
         let (mut got, mut want) = (String::new(), String::new());
         for draw in draws.chunks(14) {
@@ -161,7 +170,7 @@ proptest! {
             let bye_ref = reference_handle_request(&mut single_ref, &line, &mut want);
             prop_assert_eq!(&got, &want, "single-stream reply to {:?}", line);
             prop_assert_eq!(bye, bye_ref);
-            let bye = handle_request(&mut &sharded, &line, &mut got);
+            let bye = handle_request(&mut sharded, &line, &mut got);
             let bye_ref = reference_handle_request(&mut &sharded_ref, &line, &mut want);
             prop_assert_eq!(&got, &want, "per-shard reply to {:?}", line);
             prop_assert_eq!(bye, bye_ref);
@@ -211,4 +220,56 @@ fn codec_matches_the_reference_on_pinned_corner_cases() {
         assert_eq!(got, want, "reply to {line:?}");
         assert_eq!(bye, bye_ref, "shutdown flag for {line:?}");
     }
+}
+
+/// Both sides of the fast path's boundary, on both store flavors, after
+/// a few copies are out: canonical spellings it takes, and near misses it
+/// must hand to the tokenizer, which answers them as the reference does.
+#[test]
+fn the_fast_path_boundary_matches_the_reference() {
+    let specs = expand_plan(&RealizedPlan::balanced(8, 0.5).unwrap());
+    let serve = ServeConfig::new(2);
+    let mut single = ServeSession::new(&specs, &campaign(), &serve, 3).unwrap();
+    let mut single_ref = ServeSession::new(&specs, &campaign(), &serve, 3).unwrap();
+    let mut sharded = ConcurrentStore::new(&specs, &campaign(), &serve, 3).unwrap();
+    let sharded_ref = ConcurrentStore::new(&specs, &campaign(), &serve, 3).unwrap();
+    let taken = [
+        "request-work",
+        "return-result 0 0",
+        "return-result 007 01",
+        "return-result 18446744073709551615 4294967295",
+    ];
+    let declined = [
+        "return-result 18446744073709551616 0",
+        "return-result 1 4294967296",
+        "return-result +1 +0",
+        "return-result 1  2",
+        "return-result 1 2 ",
+        "return-result 1\t2",
+        "return-result 1 2 3",
+        "return-result -0 0",
+        "return-result 1",
+        "return-result ",
+        "return-result 1 ",
+        "return-result  1",
+        "request-work ",
+        " request-work",
+        "request-work\n",
+        "request-workx",
+        "request-work x",
+    ];
+    let warm_up = ["request-work"; 6];
+    let (mut got, mut want) = (String::new(), String::new());
+    for line in warm_up.iter().chain(&taken).chain(&declined).chain(&taken) {
+        let bye = handle_request(&mut single, line, &mut got);
+        let bye_ref = reference_handle_request(&mut single_ref, line, &mut want);
+        assert_eq!(got, want, "single-stream reply to {line:?}");
+        assert_eq!(bye, bye_ref, "shutdown flag for {line:?}");
+        let bye = handle_request(&mut sharded, line, &mut got);
+        let bye_ref = reference_handle_request(&mut &sharded_ref, line, &mut want);
+        assert_eq!(got, want, "per-shard reply to {line:?}");
+        assert_eq!(bye, bye_ref, "shutdown flag for {line:?}");
+    }
+    assert_eq!(single.stats(), single_ref.stats());
+    assert_eq!(sharded.stats(), sharded_ref.stats());
 }
