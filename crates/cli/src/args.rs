@@ -6,36 +6,9 @@
 //! not deploy an unprotected computation.
 
 use redundancy_sim::serve::{StreamMode, SyncPolicy};
-use redundancy_stats::SamplerMode;
+use redundancy_stats::{SamplerMode, MAX_THREADS};
 use std::collections::HashMap;
 use std::fmt;
-
-/// Which TCP transport loop `redundancy serve` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The epoll readiness loop where available (Linux), else threads.
-    #[default]
-    Auto,
-    /// The epoll readiness loop, or an error off Linux.
-    Epoll,
-    /// One blocking thread per connection (the portable fallback).
-    Threads,
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(IoMode::Auto),
-            "epoll" => Ok(IoMode::Epoll),
-            "threads" => Ok(IoMode::Threads),
-            other => Err(format!(
-                "unknown io mode '{other}' (expected auto, epoll, or threads)"
-            )),
-        }
-    }
-}
 
 /// Which scheme a command operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,7 +196,7 @@ pub enum Command {
         proportion: f64,
         /// RNG seed for the session.
         seed: u64,
-        /// Shard count of the assignment store.
+        /// Shard count of the assignment store (at most [`MAX_THREADS`]).
         shards: usize,
         /// Ticks (requests) before an in-flight copy is re-queued.
         timeout: u64,
@@ -231,15 +204,14 @@ pub enum Command {
         retries: u32,
         /// TCP port to listen on (0 = OS-assigned); absent = no TCP.
         port: Option<u16>,
-        /// Synthetic concurrent clients for the self-driving TCP drain.
+        /// Synthetic concurrent clients for the self-driving TCP drain, one
+        /// thread each (at most [`MAX_THREADS`]).
         clients: usize,
         /// Serve the framed protocol over stdin/stdout instead.
         stdio: bool,
         /// RNG-stream discipline: one session stream (the batch-kernel
         /// bit-compat oracle) or one derived stream per shard.
         streams: StreamMode,
-        /// TCP transport loop: epoll readiness loop or thread-per-conn.
-        io: IoMode,
         /// Write a serve-report/v1 JSON document (per-shard mode only).
         json: Option<String>,
         /// Append every state-mutating event to this journal file.
@@ -512,6 +484,24 @@ fn check_nonzero<T: Into<u64> + Copy>(
         })
     } else {
         Ok(value)
+    }
+}
+
+/// A count `redundancy` spends one thread or one store shard on before it
+/// serves anything (`--clients`, `--shards`): at most [`MAX_THREADS`], the
+/// bound `--threads` keeps too.
+fn check_at_most_max_threads(
+    flag: &'static str,
+    value: u64,
+    expected: &'static str,
+) -> Result<usize, ArgError> {
+    match usize::try_from(value) {
+        Ok(n) if n <= MAX_THREADS => Ok(n),
+        _ => Err(ArgError::BadValue {
+            flag: flag.into(),
+            value: value.to_string(),
+            expected,
+        }),
     }
 }
 
@@ -819,7 +809,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ArgError> {
                     "--clients",
                     "--stdio",
                     "--streams",
-                    "--io",
                     "--json",
                     "--journal",
                     "--sync",
@@ -866,11 +855,15 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ArgError> {
                     true,
                 )?,
                 seed: f.or_default("--seed", "a 64-bit integer", 20_050_926)?,
-                shards: check_nonzero(
+                shards: check_at_most_max_threads(
                     "--shards",
-                    f.or_default("--shards", "a positive shard count", 1u64)?,
-                    "a positive shard count",
-                )? as usize,
+                    check_nonzero(
+                        "--shards",
+                        f.or_default("--shards", "a positive shard count", 1u64)?,
+                        "a positive shard count",
+                    )?,
+                    "a shard count in 1..=1024",
+                )?,
                 timeout: check_nonzero(
                     "--timeout",
                     f.or_default("--timeout", "a positive number of ticks", 8u64)?,
@@ -878,10 +871,13 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ArgError> {
                 )?,
                 retries: f.or_default("--retries", "a small integer", 3)?,
                 port,
-                clients: f.or_default("--clients", "a client count", 0)?,
+                clients: check_at_most_max_threads(
+                    "--clients",
+                    f.or_default("--clients", "a client count", 0u64)?,
+                    "a client count in 0..=1024",
+                )?,
                 stdio: f.flags.contains_key("--stdio"),
                 streams: f.or_default("--streams", "single or per-shard", StreamMode::Single)?,
-                io: f.or_default("--io", "auto, epoll, or threads", IoMode::Auto)?,
                 json: f.optional("--json", "a file path")?,
                 journal: f.optional("--journal", "a file path")?,
                 sync: f.or_default("--sync", "always, batch, or off", SyncPolicy::Batch)?,
@@ -1421,7 +1417,6 @@ mod tests {
                 clients: 0,
                 stdio: false,
                 streams: StreamMode::Single,
-                io: IoMode::Auto,
                 json: None,
                 journal: None,
                 sync: SyncPolicy::Batch,
@@ -1444,8 +1439,6 @@ mod tests {
             "8",
             "--streams",
             "per-shard",
-            "--io",
-            "threads",
             "--json",
             "report.json",
         ]))
@@ -1460,7 +1453,6 @@ mod tests {
                 clients,
                 stdio,
                 streams,
-                io,
                 json,
                 ..
             } => {
@@ -1472,7 +1464,6 @@ mod tests {
                 assert_eq!(clients, 8);
                 assert!(!stdio);
                 assert_eq!(streams, StreamMode::PerShard);
-                assert_eq!(io, IoMode::Threads);
                 assert_eq!(json.as_deref(), Some("report.json"));
             }
             other => panic!("{other:?}"),
@@ -1560,10 +1551,19 @@ mod tests {
             ["--proportion", "-0.2"],
             ["--port", "seven"],
             ["--streams", "both"],
-            ["--io", "uring"],
+            ["--io", "threads"],
+            ["--clients", "1025"],
+            ["--shards", "1025"],
         ] {
             let e = parse_args(&argv(&["serve", flags[0], flags[1]])).unwrap_err();
             assert!(e.to_string().contains(flags[0]), "{e}");
+        }
+        // One thread per client and one store machine per shard: both stop
+        // at the bound `--threads` keeps, which is itself accepted.
+        for flag in ["--clients", "--shards"] {
+            let e = parse_args(&argv(&["serve", flag, "1025"])).unwrap_err();
+            assert!(e.to_string().contains("1024"), "{e}");
+            assert!(parse_args(&argv(&["serve", flag, "1024"])).is_ok());
         }
     }
 

@@ -13,15 +13,16 @@
 //! the optimizer honest and to make silent semantic drift visible when two
 //! reports disagree on anything but time.
 
-use crate::commands::CliError;
+use crate::commands::{CliError, Volunteer};
 use redundancy_core::{AssignmentMinimizing, RealizedPlan};
 use redundancy_json::{num_u64, obj, Json};
 use redundancy_sim::engine::reference;
 use redundancy_sim::outcome::CampaignOutcome;
+use redundancy_sim::serve::{handle_request, Store, StreamMode, WorkStore};
 use redundancy_sim::task::{expand_plan, grouped_specs, plan_groups, SpecGroup};
 use redundancy_sim::{
     run_campaign_groups, AdversaryModel, CampaignAccumulator, CampaignConfig, CampaignScratch,
-    CheatStrategy, ConcurrentStore, FaultModel, ServeConfig, ServeSession, ServeStats,
+    CheatStrategy, FaultModel, ServeConfig, ServeStats,
 };
 use redundancy_stats::table::{fnum, inum, Table};
 use redundancy_stats::{
@@ -63,7 +64,7 @@ pub struct BenchRecord {
 pub struct LadderPoint {
     /// Store shard count at this point.
     pub shards: u64,
-    /// Concurrent client threads at this point.
+    /// Logical clients at this point, taking turns on one thread.
     pub clients: u64,
     /// Median wall time of one drain, in nanoseconds.
     pub median_ns: u64,
@@ -475,49 +476,37 @@ fn run_fixtures(
     }
 
     // Live supervisor: drain a serve session through the full framed
-    // request→return protocol loop (`ServeSession::handle` parses every
-    // request and formats every reply, exactly like `redundancy serve`).
-    // The throughput column is sustained assignments per second; a probe
-    // run pins the drained stats so every measured repetition is checked
+    // request→return protocol loop (`handle_request` parses every request
+    // and formats every reply, exactly like `redundancy serve`).  The
+    // throughput column is sustained assignments per second; a probe run
+    // pins the drained stats so every measured repetition is checked
     // bit-identical in debug builds.
     {
         let serve_plan = RealizedPlan::balanced(sizes.serve_tasks, 0.6).map_err(CliError::Core)?;
         let serve_tasks = expand_plan(&serve_plan);
-        let drain = |tasks: &[redundancy_sim::task::TaskSpec]| -> ServeStats {
-            let mut session = ServeSession::new(tasks, &cfg, &ServeConfig::new(2), seed)
-                .expect("pinned serve fixture is valid");
-            // One request buffer on the client side plus the session's own
-            // reply buffer: the steady-state drain allocates nothing per
-            // frame, so the fixture measures the protocol loop itself.
-            let mut req = String::new();
-            loop {
-                let (reply, _) = session.handle_buffered("request-work");
-                if reply == "drained" {
-                    break;
-                }
-                let mut parts = reply.split_whitespace();
-                let (Some("work"), Some(task), Some(copy)) = (
-                    parts.next(),
-                    parts.next().and_then(|t| t.parse::<u64>().ok()),
-                    parts.next().and_then(|c| c.parse::<u32>().ok()),
-                ) else {
-                    unreachable!("single-client drain only sees work frames: {reply}");
-                };
-                req.clear();
-                let _ = write!(req, "return-result {task} {copy}");
-                let (ack, _) = session.handle_buffered(&req);
-                debug_assert!(ack.starts_with("ok"), "{ack}");
-            }
-            session.store.stats()
+        let single = || {
+            Store::new(
+                &serve_tasks,
+                &cfg,
+                &ServeConfig::new(2),
+                seed,
+                StreamMode::Single,
+            )
+            .expect("pinned serve fixture is valid")
         };
-        let probe = drain(&serve_tasks);
+        let drain = || -> ServeStats {
+            let mut store = single();
+            drain_with_volunteers(&mut store, 1);
+            store.stats()
+        };
+        let probe = drain();
         records.push(record(
             "serve_throughput",
             sizes.serve_reps,
             probe.total_tasks,
             probe.issued,
             measure(sizes.serve_reps, || {
-                let stats = drain(&serve_tasks);
+                let stats = drain();
                 debug_assert_eq!(stats, probe);
                 stats.checksum()
             }),
@@ -532,8 +521,7 @@ fn run_fixtures(
             std::env::temp_dir().join(format!("bench_serve_journal_{}.bin", std::process::id()));
         let drain_journaled = || -> ServeStats {
             use redundancy_sim::serve::{
-                handle_request, workload_fingerprint, JournalWriter, JournaledStore, Record,
-                SessionHeader, StoreEnum, StreamMode, WorkStore as _,
+                workload_fingerprint, JournalWriter, JournaledStore, Record, SessionHeader,
             };
             let file = std::fs::File::create(&journal_path).expect("temp journal path is writable");
             let mut writer = JournalWriter::new(file, redundancy_sim::serve::SyncPolicy::Off);
@@ -548,35 +536,8 @@ fn run_fixtures(
                     total_tasks: serve_tasks.len() as u64,
                 }))
                 .expect("journal header append");
-            let store = StoreEnum::new(
-                &serve_tasks,
-                &cfg,
-                &ServeConfig::new(2),
-                seed,
-                StreamMode::Single,
-            )
-            .expect("pinned serve fixture is valid");
-            let mut session = JournaledStore::new(store, Some(writer));
-            let mut req = String::new();
-            let mut reply = String::new();
-            loop {
-                handle_request(&mut session, "request-work", &mut reply);
-                if reply == "drained" {
-                    break;
-                }
-                let mut parts = reply.split_whitespace();
-                let (Some("work"), Some(task), Some(copy)) = (
-                    parts.next(),
-                    parts.next().and_then(|t| t.parse::<u64>().ok()),
-                    parts.next().and_then(|c| c.parse::<u32>().ok()),
-                ) else {
-                    unreachable!("single-client drain only sees work frames: {reply}");
-                };
-                req.clear();
-                let _ = write!(req, "return-result {task} {copy}");
-                handle_request(&mut session, &req, &mut reply);
-                debug_assert!(reply.starts_with("ok"), "{reply}");
-            }
+            let mut session = JournaledStore::new(single(), Some(writer));
+            drain_with_volunteers(&mut session, 1);
             let stats = session.stats();
             session.finish().expect("temp journal append cannot fail");
             stats
@@ -600,17 +561,18 @@ fn run_fixtures(
         std::fs::remove_file(&journal_path).ok();
     }
 
-    // Concurrent supervisor: client threads hammer the per-shard-stream
-    // ConcurrentStore through the same framed request→return text, one
-    // ladder point per (shards, clients) pair.  At a fixed shard count the
-    // drained state is a pure function of the seed, so every point of a
-    // shard row must report the same checksum — the ladder doubles as the
-    // concurrency determinism check.  It deliberately ignores the
-    // --threads cap: t1 and t4 reports must agree on every checksum.
+    // Per-shard supervisor: K logical clients take turns, one request
+    // each, against a per-shard store through the same framed
+    // request→return text, one ladder point per (shards, clients) pair.
+    // At a fixed shard count the drained state is a pure function of the
+    // seed, so every point of a shard row must report the same checksum —
+    // the ladder doubles as the per-shard determinism check.  It
+    // deliberately ignores the --threads cap: t1 and t4 reports must agree
+    // on every checksum.
     {
         let serve_plan = RealizedPlan::balanced(sizes.serve_tasks, 0.6).map_err(CliError::Core)?;
         let serve_tasks = expand_plan(&serve_plan);
-        let drain_concurrent = |shards: usize, clients: usize| -> (ServeStats, u64) {
+        let drain_per_shard = |shards: usize, clients: usize| -> (ServeStats, u64) {
             let patient = ServeConfig {
                 faults: FaultModel {
                     timeout: 1 << 40,
@@ -618,38 +580,9 @@ fn run_fixtures(
                 },
                 ..ServeConfig::new(shards)
             };
-            let store = ConcurrentStore::new(&serve_tasks, &cfg, &patient, seed)
+            let mut store = Store::new(&serve_tasks, &cfg, &patient, seed, StreamMode::PerShard)
                 .expect("pinned serve fixture is valid");
-            std::thread::scope(|scope| {
-                for _ in 0..clients {
-                    scope.spawn(|| {
-                        let mut req = String::new();
-                        let mut reply = String::new();
-                        loop {
-                            store.handle_into("request-work", &mut reply);
-                            if reply == "drained" {
-                                break;
-                            }
-                            if reply == "idle" {
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            let mut parts = reply.split_whitespace();
-                            let (Some("work"), Some(task), Some(copy)) = (
-                                parts.next(),
-                                parts.next().and_then(|t| t.parse::<u64>().ok()),
-                                parts.next().and_then(|c| c.parse::<u32>().ok()),
-                            ) else {
-                                unreachable!("patient drain only sees work frames: {reply}");
-                            };
-                            req.clear();
-                            let _ = write!(req, "return-result {task} {copy}");
-                            store.handle_into(&req, &mut reply);
-                            debug_assert!(reply.starts_with("ok"), "{reply}");
-                        }
-                    });
-                }
-            });
+            drain_with_volunteers(&mut store, clients);
             let stats = store.stats();
             let fingerprint = stats
                 .checksum()
@@ -662,9 +595,9 @@ fn run_fixtures(
         let mut top_stats: Option<ServeStats> = None;
         for &shards in &[1usize, 2, 4] {
             for &clients in &[1usize, 2, 8] {
-                let (probe_stats, probe_sum) = drain_concurrent(shards, clients);
+                let (probe_stats, probe_sum) = drain_per_shard(shards, clients);
                 let (median_ns, _) = measure(sizes.serve_reps, || {
-                    let (stats, sum) = drain_concurrent(shards, clients);
+                    let (stats, sum) = drain_per_shard(shards, clients);
                     debug_assert_eq!(stats, probe_stats);
                     debug_assert_eq!(sum, probe_sum);
                     sum
@@ -685,9 +618,9 @@ fn run_fixtures(
                 top_stats = Some(probe_stats);
             }
         }
-        // The headline row times the most-parallel point (4 shards, 8
-        // clients); its checksum folds every ladder point so any drift
-        // anywhere in the grid changes the fixture fingerprint.
+        // The headline row times the largest point (4 shards, 8 clients);
+        // its checksum folds every ladder point so any drift anywhere in
+        // the grid changes the fixture fingerprint.
         let top = ladder.last().expect("ladder is non-empty");
         let stats = top_stats.expect("ladder is non-empty");
         let mut rec = record(
@@ -722,6 +655,27 @@ fn run_fixtures(
     }
 
     Ok(records)
+}
+
+/// Drain `store` through the framed protocol text with `clients`
+/// [`Volunteer`]s taking turns, one request each, on this thread.
+fn drain_with_volunteers<S: WorkStore>(store: &mut S, clients: usize) {
+    let mut volunteers: Vec<Volunteer> = (0..clients).map(|_| Volunteer::default()).collect();
+    let mut reply = String::new();
+    let mut active = true;
+    while active {
+        active = false;
+        for volunteer in &mut volunteers {
+            let Some(request) = volunteer.request() else {
+                continue;
+            };
+            handle_request(store, request, &mut reply);
+            volunteer
+                .reply(&reply)
+                .expect("a patient drain only sees work, idle, ok and drained");
+            active = true;
+        }
+    }
 }
 
 /// Parallel efficiency of the `run_trials_t{n}` fixture against the

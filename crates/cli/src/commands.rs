@@ -1,6 +1,6 @@
 //! Command implementations: each returns the report it would print.
 
-use crate::args::{Command, IoMode, SchemeName};
+use crate::args::{Command, SchemeName};
 use crate::USAGE;
 use redundancy_core::{
     advise, certify_sweep, AssignmentMinimizing, CoreError, ExtendedBalanced, RealizedPlan,
@@ -8,23 +8,21 @@ use redundancy_core::{
 };
 use redundancy_sim::serve::{
     epoll, handle_request, parse_journal, read_frame, replay_groups, workload_fingerprint_groups,
-    write_frame, Frame, JournalWriter, JournaledStore, Record, ReplayOptions, Reply, SessionEnd,
-    SessionHeader, StoreEnum, SyncPolicy, WorkStore,
+    write_frame, Frame, JournalWriter, JournaledStore, Record, ReplayOptions, SessionHeader, Store,
+    SyncPolicy, WorkStore,
 };
 use redundancy_sim::task::{plan_groups, SpecGroup};
 use redundancy_sim::{
     churn_experiment, churn_soak, detection_experiment, drain_equivalence,
     faulty_detection_experiment, run_campaign_groups, serve_connection, serve_readiness_loop,
     AdversaryModel, CampaignConfig, CampaignOutcome, CampaignScratch, CheatStrategy, ChurnModel,
-    ConcurrentStore, DrainState, ExperimentConfig, FaultModel, LoopOptions, ServeConfig,
-    ServeStats, StreamMode,
+    DrainState, ExperimentConfig, FaultModel, LoopOptions, ServeConfig, ServeStats, StreamMode,
 };
 use redundancy_stats::table::{fnum, inum, Table};
 use redundancy_stats::{
     parallel_sweep, sweep_thread_split, DeterministicRng, SamplerMode, TrialConfig,
 };
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 /// Errors surfaced to the user.
 #[derive(Debug)]
@@ -237,7 +235,6 @@ pub fn dispatch(command: &Command) -> Result<String, CliError> {
             clients,
             stdio,
             streams,
-            io,
             json,
             journal,
             sync,
@@ -255,7 +252,6 @@ pub fn dispatch(command: &Command) -> Result<String, CliError> {
             *clients,
             *stdio,
             *streams,
-            *io,
             json.clone(),
             journal.clone(),
             *sync,
@@ -488,9 +484,8 @@ identical bytes.
         Some("serve") => "\
 redundancy serve [--tasks <N>] [--epsilon <E>] [--scheme S] [--proportion P]
                  [--seed SEED] [--shards K] [--timeout T] [--retries M]
-                 [--streams single|per-shard] [--io auto|epoll|threads]
-                 [--json PATH] [--journal PATH [--sync always|batch|off]
-                 [--recover]]
+                 [--streams single|per-shard] [--json PATH]
+                 [--journal PATH [--sync always|batch|off] [--recover]]
                  [--stdio | --clients C [--port PORT] | --port PORT]
 
 Runs the live supervisor: a sharded in-memory assignment store that deals
@@ -507,21 +502,19 @@ drains the store through C concurrent TCP clients against a listener on
 --port (OS-assigned when omitted) and prints the final stats dump —
 byte-identical across runs of the same seed whenever no timeout fires
 (pass a large --timeout to guarantee that).  --port alone runs the daemon
-until a client sends `shutdown`.  --shards sets the store's shard count;
---timeout/--retries set the re-issue policy.
+until a client sends `shutdown`.  Both TCP modes run on one epoll
+readiness loop thread, so they need Linux; --stdio runs anywhere.
+--clients and --shards are at most 1024.  --shards sets the store's shard
+count; --timeout/--retries set the re-issue policy.
 
---streams single (default) serializes every client on one session RNG: a
+--streams single (default) deals every copy from one session RNG: a
 drained session is bit-identical to `run_campaign` on the same seed at
 any shard count (the batched-kernel oracle).  --streams per-shard gives
-each shard its own lock and its own derived RNG stream, so clients on
-different shards proceed in parallel; the drained outcome is then a pure
+each shard its own derived RNG stream; the drained outcome is then a pure
 function of (seed, shard count) — invariant to the client count and
 request interleaving — and is checked against a shard-by-shard drain (the
-sharded-stream oracle).  --io picks the TCP transport: the Linux epoll
-readiness loop or the portable thread-per-connection loop (auto prefers
-epoll where available; both produce identical reports).  --json PATH
-(per-shard only) writes a serve-report/v1 document with session totals
-and per-shard stats cells.
+sharded-stream oracle).  --json PATH (per-shard only) writes a
+serve-report/v1 document with session totals and per-shard stats cells.
 
 --journal PATH appends every state-mutating event (issue, return, tick,
 timeout-requeue, shutdown) to a checksummed append-only log; --sync picks
@@ -1060,14 +1053,13 @@ fn churn_soak_cmd(workers: u64, horizon: u64, tasks: u64, seed: u64) -> Result<S
 
 /// A drained serve backend: aggregate stats, the full drained-state
 /// snapshot (outcome + final RNG streams) the oracles compare, the
-/// [`ConcurrentStore`] itself when the session ran per-shard streams (the
-/// JSON report and the sharded-stream oracle both need the store, not
-/// just its counters), and the journal's closing summary when one was
-/// written.
+/// [`Store`] itself when the session ran per-shard streams (the JSON
+/// report and the sharded-stream oracle both need the store, not just its
+/// counters), and the journal's closing summary when one was written.
 struct ServeRun {
     stats: ServeStats,
     state: DrainState,
-    store: Option<ConcurrentStore>,
+    store: Option<Store>,
     journal: Option<JournalSummary>,
 }
 
@@ -1090,17 +1082,13 @@ struct Recovery {
     torn_tail: bool,
 }
 
-/// The serve backend every transport drives: the store of either flavor,
-/// owned outright, behind the journaling wrapper (whose writer is `None`
-/// when `--journal` is not given).  The journal's record order *is* the
-/// call order, which is what makes replay deterministic.
-///
-/// Every method that answers takes `&mut self`: the stdio loop and the
-/// epoll readiness loop are one thread that answers one frame at a time,
-/// so they own the backend, and a request takes no lock and no atomic
-/// read-modify-write.  The threaded fallback (`--io threads`) shares it
-/// behind one `Mutex` of its own.
-struct Backend(JournaledStore<StoreEnum>);
+/// The serve backend every transport drives: the store, owned outright,
+/// behind the journaling wrapper (whose writer is `None` when `--journal`
+/// is not given).  The journal's record order *is* the call order, which
+/// is what makes replay deterministic.  The stdio loop and the epoll
+/// readiness loop are one thread that answers one frame at a time, so
+/// they own the backend, and a request takes no lock.
+struct Backend(JournaledStore<Store>);
 
 impl Backend {
     /// Answer one protocol request, formatting the reply into `reply`.
@@ -1109,22 +1097,15 @@ impl Backend {
         handle_request(&mut self.0, req, reply)
     }
 
-    /// Answer one protocol request into an owned [`Reply`].
-    fn handle(&mut self, req: &str) -> Reply {
-        let mut text = String::new();
-        let shutdown = self.handle_into(req, &mut text);
-        Reply { text, shutdown }
-    }
-
     /// Drain the store to completion in process.
     fn drain(&mut self) {
         self.0.drain();
     }
 
     /// Tear down into the run summary: final stats, drained state, the
-    /// concurrent store (per-shard sessions), and the journal summary.
-    /// A journal append or flush failure surfaces here as an error — the
-    /// session itself finished, but its log cannot be trusted.
+    /// store (per-shard sessions), and the journal summary.  A journal
+    /// append or flush failure surfaces here as an error — the session
+    /// itself finished, but its log cannot be trusted.
     fn finish(self, journal_path: Option<&str>) -> Result<ServeRun, CliError> {
         let js = self.0;
         let stats = js.stats();
@@ -1149,46 +1130,9 @@ impl Backend {
         Ok(ServeRun {
             stats,
             state,
-            store: store.into_concurrent(),
+            store: (store.mode() == StreamMode::PerShard).then_some(store),
             journal,
         })
-    }
-}
-
-/// The threaded fallback's backend: one lock, shared by every connection
-/// thread.
-type SharedBackend = Arc<Mutex<Backend>>;
-
-/// Answer one request on a connection thread of the threaded fallback.
-fn answer_shared(backend: &Mutex<Backend>, req: &str) -> Reply {
-    backend.lock().expect("serve backend poisoned").handle(req)
-}
-
-/// Take the backend back once every connection thread has finished.
-fn unshare(shared: SharedBackend) -> Result<Backend, CliError> {
-    Arc::try_unwrap(shared)
-        .map_err(|_| CliError::Io("backend still shared after the connections closed".into()))?
-        .into_inner()
-        .map_err(|_| CliError::Io("serve backend poisoned".into()))
-}
-
-/// Resolve `--io` to a concrete transport.  `Auto` prefers the epoll
-/// readiness loop wherever it exists (Linux) and falls back to the
-/// thread-per-connection loop elsewhere; asking for epoll explicitly on a
-/// platform without it is a configuration error, not a silent downgrade.
-fn resolve_io(io: IoMode) -> Result<bool, CliError> {
-    match io {
-        IoMode::Auto => Ok(epoll::available()),
-        IoMode::Epoll => {
-            if epoll::available() {
-                Ok(true)
-            } else {
-                Err(CliError::Invalid(
-                    "--io epoll is only available on linux; use --io threads".into(),
-                ))
-            }
-        }
-        IoMode::Threads => Ok(false),
     }
 }
 
@@ -1196,9 +1140,8 @@ fn resolve_io(io: IoMode) -> Result<bool, CliError> {
 /// store: stdio frames (deterministic, scriptable), a TCP daemon, a
 /// self-driving TCP drain with synthetic concurrent clients, and the
 /// default in-process drain that also checks the matching oracle.  Both
-/// TCP transports run on the epoll readiness loop where available (or the
-/// threaded fallback, `--io threads`), and `--streams per-shard` swaps the
-/// single-stream session for the per-shard-stream [`ConcurrentStore`].
+/// TCP transports run on the epoll readiness loop (Linux only), and
+/// `--streams per-shard` gives each shard its own RNG stream.
 #[allow(clippy::too_many_arguments)]
 fn serve_cmd(
     scheme: SchemeName,
@@ -1213,7 +1156,6 @@ fn serve_cmd(
     clients: usize,
     stdio: bool,
     streams: StreamMode,
-    io: IoMode,
     json: Option<String>,
     journal: Option<String>,
     sync: SyncPolicy,
@@ -1232,7 +1174,14 @@ fn serve_cmd(
         },
         ..ServeConfig::new(shards)
     };
-    let use_epoll = resolve_io(io)?;
+    if (clients > 0 || port.is_some()) && !epoll::available() {
+        return Err(CliError::Invalid(format!(
+            "{} serves TCP on the epoll readiness loop, which this platform ({}) lacks; \
+             use --stdio",
+            if clients > 0 { "--clients" } else { "--port" },
+            std::env::consts::OS
+        )));
+    }
     if json.is_some() && streams != StreamMode::PerShard {
         return Err(CliError::Invalid(
             "--json requires --streams per-shard (the report's per_shard array \
@@ -1265,7 +1214,7 @@ fn serve_cmd(
         let stdout = std::io::stdout();
         let mut r = stdin.lock();
         let mut w = stdout.lock();
-        serve_connection(&mut r, &mut w, |req| backend.handle(req))
+        serve_connection(&mut r, &mut w, |req, reply| backend.handle_into(req, reply))
             .map_err(|e| CliError::Io(format!("stdio transport: {e}")))?;
         // A journal append failure still surfaces, even with no report.
         backend.finish(journal.as_deref())?;
@@ -1280,12 +1229,10 @@ fn serve_cmd(
     );
     let _ = writeln!(out, "timeout {timeout} ticks, {retries} retries per copy");
     if streams == StreamMode::PerShard {
-        // Deliberately silent about the io mode: epoll and threaded runs
-        // of the same configuration must print byte-identical reports.
         let _ = writeln!(out, "streams per-shard: one derived RNG stream per shard");
     }
     let run = if clients > 0 {
-        let backend = serve_tcp_drive(backend, port, clients, use_epoll)?;
+        let backend = serve_tcp_drive(backend, port, clients)?;
         let _ = writeln!(out, "drained by {clients} concurrent TCP clients");
         let run = backend.finish(journal.as_deref())?;
         out.push_str(&run.stats.render());
@@ -1297,7 +1244,7 @@ fn serve_cmd(
         }
         run
     } else if let Some(port) = port {
-        let backend = serve_tcp_daemon(backend, port, use_epoll)?;
+        let backend = serve_tcp_daemon(backend, port)?;
         let run = backend.finish(journal.as_deref())?;
         out.push_str(&run.stats.render());
         if let (Some(path), Some(store)) = (&json, &run.store) {
@@ -1365,8 +1312,8 @@ fn make_backend(
         return recover_backend(groups, campaign, serve, seed, streams, path, sync);
     }
     // The store first: a workload it refuses leaves no journal behind.
-    let store = StoreEnum::from_groups(groups, campaign, serve, seed, streams)
-        .map_err(CliError::Invalid)?;
+    let store =
+        Store::from_groups(groups, campaign, serve, seed, streams).map_err(CliError::Invalid)?;
     let Some(path) = journal else {
         return Ok((Backend(JournaledStore::new(store, None)), None));
     };
@@ -1498,7 +1445,7 @@ fn append_journal_tail(
     );
 }
 
-/// Re-drain a fresh [`ConcurrentStore`] shard by shard and compare it to
+/// Re-drain a fresh per-shard [`Store`] shard by shard and compare it to
 /// the served store: merged outcome, per-shard final RNG states, and the
 /// full stats snapshot must all match bit for bit regardless of how many
 /// clients interleaved their requests.
@@ -1508,10 +1455,10 @@ fn append_sharded_oracle_verdict(
     campaign: &CampaignConfig,
     serve: &ServeConfig,
     seed: u64,
-    store: &ConcurrentStore,
+    store: &Store,
 ) {
-    let verdict = match ConcurrentStore::from_groups(groups, campaign, serve, seed) {
-        Ok(oracle) => {
+    let verdict = match Store::from_groups(groups, campaign, serve, seed, StreamMode::PerShard) {
+        Ok(mut oracle) => {
             oracle.drain_shard_by_shard();
             let ok = store.merged_outcome() == oracle.merged_outcome()
                 && store.final_rngs() == oracle.final_rngs()
@@ -1563,7 +1510,7 @@ fn write_serve_json(
     plan: &RealizedPlan,
     seed: u64,
     clients: usize,
-    store: &ConcurrentStore,
+    store: &Store,
     journal: Option<&JournalSummary>,
 ) -> Result<(), CliError> {
     use redundancy_json::{num_u64, obj, Json};
@@ -1653,40 +1600,6 @@ fn journal_inspect(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Accept exactly `clients` connections off a blocking listener and serve
-/// each on its own thread through the shared backend (the portable
-/// `--io threads` drive loop).
-fn serve_threaded_conns(
-    listener: &std::net::TcpListener,
-    clients: usize,
-    backend: &SharedBackend,
-) -> Result<(), CliError> {
-    let mut conns = Vec::new();
-    for _ in 0..clients {
-        let (stream, _) = listener
-            .accept()
-            .map_err(|e| CliError::Io(format!("accepting a client: {e}")))?;
-        // One short frame per write: Nagle + delayed ACK would serialize
-        // the request/response round trips at ~40ms each.
-        stream
-            .set_nodelay(true)
-            .map_err(|e| CliError::Io(e.to_string()))?;
-        let backend = Arc::clone(backend);
-        conns.push(std::thread::spawn(move || -> std::io::Result<()> {
-            let mut r = stream.try_clone()?;
-            let mut w = stream;
-            serve_connection(&mut r, &mut w, |req| answer_shared(&backend, req))?;
-            Ok(())
-        }));
-    }
-    for c in conns {
-        c.join()
-            .map_err(|_| CliError::Io("a connection thread panicked".into()))?
-            .map_err(|e| CliError::Io(format!("serving a connection: {e}")))?;
-    }
-    Ok(())
-}
-
 /// Join the synthetic driver threads, naming every client that failed so
 /// a wedged or erroring drain exits nonzero with an actionable message
 /// instead of a generic one.
@@ -1710,13 +1623,11 @@ fn join_drivers(
 
 /// Self-driving TCP drain: bind (an ephemeral port unless `--port` pins
 /// one), spawn `clients` synthetic client threads, and serve exactly that
-/// many connections off the shared backend — on the epoll readiness loop
-/// or a thread per connection.
+/// many connections off the backend on the epoll readiness loop.
 fn serve_tcp_drive(
     mut backend: Backend,
     port: Option<u16>,
     clients: usize,
-    use_epoll: bool,
 ) -> Result<Backend, CliError> {
     use std::net::TcpListener;
     let listener = TcpListener::bind(("127.0.0.1", port.unwrap_or(0)))
@@ -1728,19 +1639,11 @@ fn serve_tcp_drive(
     let opts = LoopOptions {
         expected_clients: Some(clients),
     };
-    if use_epoll {
-        let drivers = spawn_drivers(addr, clients);
-        serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
-            .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
-        join_drivers(drivers)?;
-        Ok(backend)
-    } else {
-        let shared = Arc::new(Mutex::new(backend));
-        let drivers = spawn_drivers(addr, clients);
-        serve_threaded_conns(&listener, clients, &shared)?;
-        join_drivers(drivers)?;
-        unshare(shared)
-    }
+    let drivers = spawn_drivers(addr, clients);
+    serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
+        .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
+    join_drivers(drivers)?;
+    Ok(backend)
 }
 
 /// Spawn the enumerated synthetic client threads for a self-driving drain.
@@ -1753,61 +1656,101 @@ fn spawn_drivers(
         .collect()
 }
 
-/// One synthetic client: request work, return it immediately, repeat until
-/// the store reports `drained`, then hang up (a clean EOF).
+/// A synthetic client's closed loop: ask for work, hand each copy straight
+/// back, and stop at `drained`.  Every synthetic client takes its steps
+/// here: `serve --clients` over TCP and the serve bench fixtures in
+/// process.
+#[derive(Debug, Default)]
+pub(crate) struct Volunteer {
+    /// The `return-result` for the copy the last `work` reply dealt.
+    ret: String,
+    holding: bool,
+    drained: bool,
+}
+
+impl Volunteer {
+    /// The next request to send, or `None` once the store has drained.
+    pub(crate) fn request(&self) -> Option<&str> {
+        if self.drained {
+            None
+        } else if self.holding {
+            Some(&self.ret)
+        } else {
+            Some("request-work")
+        }
+    }
+
+    /// Take the reply to the last [`request`](Self::request).  A return
+    /// can race a timeout, so `err not-in-flight` is an expected answer to
+    /// one; any other reply a correct store never sends is an error.
+    pub(crate) fn reply(&mut self, reply: &str) -> Result<(), String> {
+        if std::mem::take(&mut self.holding) {
+            if reply.starts_with("ok") || reply.starts_with("err not-in-flight ") {
+                return Ok(());
+            }
+            return Err(format!("unexpected reply to {}: {reply}", self.ret));
+        }
+        match reply {
+            "drained" => self.drained = true,
+            "idle" => {}
+            _ => {
+                let mut parts = reply.split_whitespace();
+                let (Some("work"), Some(task), Some(copy)) = (
+                    parts.next(),
+                    parts.next().and_then(|t| t.parse::<u64>().ok()),
+                    parts.next().and_then(|c| c.parse::<u32>().ok()),
+                ) else {
+                    return Err(format!("unexpected reply to request-work: {reply}"));
+                };
+                self.ret.clear();
+                let _ = write!(self.ret, "return-result {task} {copy}");
+                self.holding = true;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One synthetic TCP client: a [`Volunteer`] until the store reports
+/// `drained`, then hang up (a clean EOF).
 fn drive_client(addr: std::net::SocketAddr) -> std::io::Result<()> {
     use std::io::Write as _;
     let stream = std::net::TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let mut r = stream.try_clone()?;
     let mut w = stream;
-    let mut exchange = |req: &str| -> std::io::Result<Option<String>> {
+    let mut volunteer = Volunteer::default();
+    while let Some(req) = volunteer.request() {
         write_frame(&mut w, req)?;
         w.flush()?;
-        match read_frame(&mut r)? {
-            Frame::Message(bytes) => Ok(Some(String::from_utf8_lossy(&bytes).into_owned())),
-            _ => Ok(None),
-        }
-    };
-    loop {
-        let Some(reply) = exchange("request-work")? else {
+        let Frame::Message(bytes) = read_frame(&mut r)? else {
             return Ok(());
         };
-        if let Some(rest) = reply.strip_prefix("work ") {
-            let mut parts = rest.split_whitespace();
-            let (Some(task), Some(copy)) = (parts.next(), parts.next()) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "malformed work frame",
-                ));
-            };
-            // A return can race a timeout; the stale-return `err` frame is
-            // an expected answer, not a failure.
-            let _ = exchange(&format!("return-result {task} {copy}"))?;
-        } else if reply == "idle" {
+        let reply = String::from_utf8_lossy(&bytes);
+        volunteer
+            .reply(&reply)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        if reply == "idle" {
             std::thread::yield_now();
-        } else {
-            return Ok(()); // drained
         }
     }
+    Ok(())
 }
 
 /// Daemon mode: listen on a pinned port until a client sends `shutdown`.
-fn serve_tcp_daemon(backend: Backend, port: u16, use_epoll: bool) -> Result<Backend, CliError> {
+fn serve_tcp_daemon(backend: Backend, port: u16) -> Result<Backend, CliError> {
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
         .map_err(|e| CliError::Io(format!("binding the TCP listener: {e}")))?;
-    serve_daemon_on(listener, backend, use_epoll)
+    serve_daemon_on(listener, backend)
 }
 
 /// The daemon's serve loop, split from the bind so tests can listen on an
-/// OS-assigned port.  `shutdown` from any client stops the loop: the epoll
-/// loop stops accepting and drains its remaining connections itself, and
-/// the threaded fallback polls a nonblocking listener against the stop
-/// flag — no throwaway self-connection needed to unblock an `accept`.
+/// OS-assigned port.  `shutdown` from any client stops the loop: it stops
+/// accepting and drains its remaining connections itself, so no throwaway
+/// self-connection is needed to unblock an `accept`.
 fn serve_daemon_on(
     listener: std::net::TcpListener,
     mut backend: Backend,
-    use_epoll: bool,
 ) -> Result<Backend, CliError> {
     let addr = listener
         .local_addr()
@@ -1816,65 +1759,9 @@ fn serve_daemon_on(
     let opts = LoopOptions {
         expected_clients: None,
     };
-    if use_epoll {
-        serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
-            .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
-        Ok(backend)
-    } else {
-        let shared = Arc::new(Mutex::new(backend));
-        serve_daemon_threads(&listener, &shared)?;
-        unshare(shared)
-    }
-}
-
-/// The threaded daemon accept loop: poll a nonblocking listener, serve
-/// each connection on its own thread, and stop accepting once any of them
-/// sees `shutdown`.  In-flight connections are joined (drained), exactly
-/// like the epoll loop's shutdown semantics.
-fn serve_daemon_threads(
-    listener: &std::net::TcpListener,
-    backend: &SharedBackend,
-) -> Result<(), CliError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CliError::Io(e.to_string()))?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut conns: Vec<std::thread::JoinHandle<std::io::Result<()>>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // The listener is nonblocking but each connection is served
-                // by a blocking read loop on its own thread.
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| CliError::Io(e.to_string()))?;
-                let _ = stream.set_nodelay(true);
-                let backend = Arc::clone(backend);
-                let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || -> std::io::Result<()> {
-                    let mut r = stream.try_clone()?;
-                    let mut w = stream;
-                    let end = serve_connection(&mut r, &mut w, |req| answer_shared(&backend, req))?;
-                    if end == SessionEnd::Shutdown {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    Ok(())
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(CliError::Io(format!("accepting a client: {e}"))),
-        }
-    }
-    for c in conns {
-        c.join()
-            .map_err(|_| CliError::Io("a connection thread panicked".into()))?
-            .map_err(|e| CliError::Io(format!("serving a connection: {e}")))?;
-    }
-    Ok(())
+    serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
+        .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
+    Ok(backend)
 }
 
 fn solve_sm(
@@ -2353,12 +2240,7 @@ mod tests {
     #[test]
     fn serve_daemon_serves_a_scripted_tcp_client_until_shutdown() {
         use redundancy_sim::serve::{decode_frames, script_frames};
-        let mut combos = vec![(StreamMode::Single, false), (StreamMode::PerShard, false)];
-        if epoll::available() {
-            combos.push((StreamMode::Single, true));
-            combos.push((StreamMode::PerShard, true));
-        }
-        for (streams, use_epoll) in combos {
+        for streams in [StreamMode::Single, StreamMode::PerShard] {
             let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
             let addr = listener.local_addr().unwrap();
             let client = std::thread::spawn(move || {
@@ -2393,11 +2275,11 @@ mod tests {
                 false,
             )
             .unwrap();
-            let run = serve_daemon_on(listener, backend, use_epoll)
+            let run = serve_daemon_on(listener, backend)
                 .unwrap()
                 .finish(None)
                 .unwrap();
-            let tag = format!("{streams:?} epoll={use_epoll}");
+            let tag = format!("{streams:?}");
             let replies = client.join().unwrap();
             assert_eq!(replies.len(), 4, "{tag}: {replies:?}");
             assert!(replies[0].starts_with("work "), "{tag}: {replies:?}");
@@ -2447,10 +2329,11 @@ mod tests {
     fn serve_per_shard_tcp_drive_is_invariant_to_clients_and_io() {
         // With per-shard streams and a timeout that can never fire, the
         // drained report is a pure function of (seed, shard count): the
-        // client count and the io transport must not change a byte of it
-        // beyond the `drained by N` line.
-        let base = |clients: &'static str, io: &'static str| {
-            vec![
+        // client count, and whether the store is drained over TCP or in
+        // process, must not change a byte of it beyond the `drained by N`
+        // line.
+        let base = |clients: Option<&'static str>| {
+            let mut argv = vec![
                 "serve",
                 "--tasks",
                 "300",
@@ -2466,11 +2349,11 @@ mod tests {
                 "per-shard",
                 "--timeout",
                 "1000000000",
-                "--clients",
-                clients,
-                "--io",
-                io,
-            ]
+            ];
+            if let Some(clients) = clients {
+                argv.extend(["--clients", clients]);
+            }
+            argv
         };
         let strip = |out: &str| -> Vec<String> {
             out.lines()
@@ -2478,19 +2361,18 @@ mod tests {
                 .map(str::to_owned)
                 .collect()
         };
-        let two = run(&base("2", "threads")).unwrap();
-        let eight = run(&base("8", "threads")).unwrap();
+        let two = run(&base(Some("2"))).unwrap();
+        let eight = run(&base(Some("8"))).unwrap();
         assert!(
             two.contains("sharded-stream oracle: bit-identical"),
             "{two}"
         );
         assert_eq!(strip(&two), strip(&eight));
         // Byte-identical across reruns of the same ladder point.
-        assert_eq!(eight, run(&base("8", "threads")).unwrap());
-        if epoll::available() {
-            let epolled = run(&base("8", "epoll")).unwrap();
-            assert_eq!(epolled, eight, "epoll and threaded reports must agree");
-        }
+        assert_eq!(eight, run(&base(Some("8"))).unwrap());
+        let in_process = run(&base(None)).unwrap();
+        assert_eq!(strip(&eight), strip(&in_process));
+        assert_ne!(eight, in_process, "the TCP report names its clients");
     }
 
     #[test]

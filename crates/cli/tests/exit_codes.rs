@@ -118,6 +118,28 @@ fn serve_beyond_the_task_limit_exits_two_without_serving() {
     }
 }
 
+/// `--clients` starts one thread per client and `--shards` builds one store
+/// machine per shard before the first request, so both stop at the bound
+/// `--threads` keeps: past it the command fails in argument parsing,
+/// naming the flag and the bound, before any thread or shard exists.
+#[test]
+fn serve_client_and_shard_counts_past_the_thread_bound_exit_two() {
+    for args in [
+        &["serve", "--clients", "1025"][..],
+        &["serve", "--shards", "1025", "--streams", "per-shard"][..],
+    ] {
+        let out = redundancy(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(args[1]) && stderr.contains("1024"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("serving on"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: must not print");
+    }
+}
+
 /// Send one framed request and read the framed reply.
 #[cfg(target_os = "linux")]
 fn call(stream: &mut std::net::TcpStream, request: &str) -> String {

@@ -23,8 +23,8 @@ use redundancy_core::RealizedPlan;
 use redundancy_json::num_u64;
 use redundancy_sim::experiment::{detection_experiment_with, DetectionEstimate};
 use redundancy_sim::serve::{
-    decode_frames, script_frames, serve_connection, ConcurrentStore, ServeConfig, ServeSession,
-    SessionEnd,
+    decode_frames, handle_request, script_frames, serve_connection, ServeConfig, SessionEnd, Store,
+    StreamMode, WorkStore,
 };
 use redundancy_sim::task::expand_plan;
 use redundancy_sim::{
@@ -138,8 +138,14 @@ impl Exhibit for ExtServe {
         // snapshot so documentation can never drift from the protocol.
         report.text("--- scripted protocol session (3 tasks x 2 copies) ---");
         let tiny = expand_plan(&RealizedPlan::k_fold(3, 2, eps).unwrap());
-        let mut session = ServeSession::new(&tiny, &campaign, &ServeConfig::new(2), ctx.seed)
-            .expect("tiny workload is valid");
+        let mut session = Store::new(
+            &tiny,
+            &campaign,
+            &ServeConfig::new(2),
+            ctx.seed,
+            StreamMode::Single,
+        )
+        .expect("tiny workload is valid");
         let script = [
             "request-work",
             "return-result 0 0",
@@ -158,15 +164,17 @@ impl Exhibit for ExtServe {
         ];
         let mut input: &[u8] = &script_frames(&script)[..];
         let mut output = Vec::new();
-        let end = serve_connection(&mut input, &mut output, |req| session.handle(req))
-            .expect("in-memory transport cannot fail");
+        let end = serve_connection(&mut input, &mut output, |req, reply| {
+            handle_request(&mut session, req, reply)
+        })
+        .expect("in-memory transport cannot fail");
         let replies = decode_frames(&output);
         let mut transcript = Table::new(&["client sends", "supervisor replies"]);
         for (req, reply) in script.iter().zip(&replies) {
             transcript.row(&[req, reply.as_str()]);
         }
         report.table(transcript);
-        let session_ok = session.store.is_drained() && end == SessionEnd::Shutdown;
+        let session_ok = session.is_drained() && end == SessionEnd::Shutdown;
         // The per-shard-stream store carries its own determinism contract:
         // an interleaved drain must match a shard-by-shard drain bitwise —
         // merged outcome, per-shard final RNG states, stats.  Folded into
@@ -174,11 +182,19 @@ impl Exhibit for ExtServe {
         // stay fixed.
         let sharded_ok = {
             let specs = expand_plan(&plan);
-            let served = ConcurrentStore::new(&specs, &campaign, &ServeConfig::new(2), ctx.seed)
-                .expect("balanced workload is valid");
+            let per_shard = || {
+                Store::new(
+                    &specs,
+                    &campaign,
+                    &ServeConfig::new(2),
+                    ctx.seed,
+                    StreamMode::PerShard,
+                )
+                .expect("balanced workload is valid")
+            };
+            let mut served = per_shard();
             served.drain();
-            let oracle = ConcurrentStore::new(&specs, &campaign, &ServeConfig::new(2), ctx.seed)
-                .expect("balanced workload is valid");
+            let mut oracle = per_shard();
             oracle.drain_shard_by_shard();
             served.merged_outcome() == oracle.merged_outcome()
                 && served.final_rngs() == oracle.final_rngs()
@@ -193,7 +209,7 @@ impl Exhibit for ExtServe {
             use redundancy_sim::serve::{
                 drain_equivalence, replay_with, workload_fingerprint, DrainState, Issue,
                 JournalWriter, JournaledStore, Record, ReplayOptions, SessionHeader, SharedBuf,
-                StoreEnum, StreamMode, SyncPolicy, WorkStore,
+                SyncPolicy,
             };
             // The same withholding drive on both sides: hold every third
             // copy in flight so the crash leaves real recovery work
@@ -217,7 +233,7 @@ impl Exhibit for ExtServe {
             let specs = expand_plan(&plan);
             let serve = ServeConfig::new(2);
             let fresh_store = || {
-                StoreEnum::new(&specs, &campaign, &serve, ctx.seed, StreamMode::Single)
+                Store::new(&specs, &campaign, &serve, ctx.seed, StreamMode::Single)
                     .expect("balanced workload is valid")
             };
             let buf = SharedBuf::new();

@@ -94,10 +94,10 @@ pub use rounds::{
 pub use serve::{
     assert_drain_equivalent, drain_equivalence, drain_session, parse_journal, replay,
     replay_groups, replay_with, serve_connection, serve_experiment, serve_readiness_loop,
-    workload_fingerprint, workload_fingerprint_groups, AssignmentStore, ConcurrentStore,
-    DrainState, JournalError, JournalSink, JournalWriter, JournaledStore, LoopOptions,
-    ParsedJournal, Record, ReplayOptions, Replayed, ServeConfig, ServeSession, ServeStats,
-    SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy, WorkStore,
+    workload_fingerprint, workload_fingerprint_groups, ConcurrentStore, DrainState, JournalError,
+    JournalSink, JournalWriter, JournaledStore, LoopOptions, ParsedJournal, Record, ReplayOptions,
+    Replayed, ServeConfig, ServeSession, ServeStats, SessionHeader, SharedBuf, Store, StoreEnum,
+    StreamMode, SyncPolicy, WorkStore,
 };
 pub use supervisor::Supervisor;
 pub use survival::{survival_experiment, survival_experiment_with, SurvivalOutcome};

@@ -1,14 +1,12 @@
 //! A dependency-free epoll readiness loop for the TCP serve transports.
 //!
-//! The threaded transports spend one OS thread per connection and park it
-//! in blocking reads; under the 8-client contention soak that is eight
-//! threads ping-ponging on socket wakeups.  This module replaces them
-//! with a single-threaded nonblocking accept + readiness loop over the
-//! raw `epoll_create1` / `epoll_ctl` / `epoll_wait` syscalls — declared
-//! here directly against libc's ABI, so the workspace stays free of
-//! external crates.  Everything is `#[cfg(target_os = "linux")]`-gated;
-//! other platforms keep the threaded fallback
-//! ([`available`] reports which world we are in).
+//! Both TCP modes of `redundancy serve` run on one single-threaded
+//! nonblocking accept + readiness loop over the raw `epoll_create1` /
+//! `epoll_ctl` / `epoll_wait` syscalls — declared here directly against
+//! libc's ABI, so the workspace stays free of external crates.  Everything
+//! is `#[cfg(target_os = "linux")]`-gated, and there is no threaded
+//! fallback: off Linux [`serve_readiness_loop`] returns an `Unsupported`
+//! error, and [`available`] lets a caller refuse TCP serving up front.
 //!
 //! Per connection the loop owns a read buffer (frames are parsed greedily
 //! out of it, zero-copy) and a write buffer (replies are queued and
@@ -24,8 +22,8 @@
 //!
 //! The loop is one thread and answers one frame at a time, so its handler
 //! is an `FnMut` that owns the store: the CLI's daemon answers through
-//! exclusive (`&mut`) access, and no request takes a lock or an atomic
-//! read-modify-write.  Malformed input earns the same
+//! exclusive (`&mut`) access, and no request takes a lock.  Malformed
+//! input earns the same
 //! structured `err` frames as
 //! [`serve_connection`](super::serve_connection): a truncated frame or an
 //! oversized prefix answers `err` and closes after the flush; invalid
@@ -578,9 +576,10 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryModel, CheatStrategy};
     use crate::engine::CampaignConfig;
-    use crate::serve::concurrent::ConcurrentStore;
-    use crate::serve::protocol::{decode_frames, script_frames, ServeSession, MAX_FRAME};
-    use crate::serve::store::ServeConfig;
+    use crate::serve::concurrent::StreamMode;
+    use crate::serve::protocol::{decode_frames, handle_request, script_frames, MAX_FRAME};
+    use crate::serve::store::{ServeConfig, Store};
+    use crate::serve::WorkStore;
     use crate::task::expand_plan;
     use redundancy_core::RealizedPlan;
     use std::io::{Read as _, Write as _};
@@ -593,14 +592,21 @@ mod tests {
         )
     }
 
-    fn session(n: u64, mult: usize, seed: u64) -> ServeSession {
+    fn session(n: u64, mult: usize, seed: u64) -> Store {
         let tasks = expand_plan(&RealizedPlan::k_fold(n, mult, 0.5).unwrap());
-        ServeSession::new(&tasks, &campaign(), &ServeConfig::new(2), seed).unwrap()
+        Store::new(
+            &tasks,
+            &campaign(),
+            &ServeConfig::new(2),
+            seed,
+            StreamMode::Single,
+        )
+        .unwrap()
     }
 
     /// Run a scripted client against a readiness loop in drive mode and
     /// return the decoded reply frames.
-    fn scripted_exchange(script: &[&str], mut session: ServeSession) -> Vec<String> {
+    fn scripted_exchange(script: &[&str], mut session: Store) -> Vec<String> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let bytes = script_frames(script);
@@ -617,12 +623,7 @@ mod tests {
             LoopOptions {
                 expected_clients: Some(1),
             },
-            |req, reply| {
-                let (text, shutdown) = session.handle_buffered(req);
-                reply.clear();
-                reply.push_str(text);
-                shutdown
-            },
+            |req, reply| handle_request(&mut session, req, reply),
         )
         .unwrap();
         decode_frames(&client.join().unwrap())
@@ -704,12 +705,7 @@ mod tests {
                 LoopOptions {
                     expected_clients: Some(1),
                 },
-                |req, reply| {
-                    let (text, shutdown) = s.handle_buffered(req);
-                    reply.clear();
-                    reply.push_str(text);
-                    shutdown
-                },
+                |req, reply| handle_request(&mut s, req, reply),
             )
             .unwrap();
             assert_eq!(decode_frames(&client.join().unwrap()), vec![want]);
@@ -738,12 +734,7 @@ mod tests {
             LoopOptions {
                 expected_clients: Some(1),
             },
-            |req, reply| {
-                let (text, shutdown) = s.handle_buffered(req);
-                reply.clear();
-                reply.push_str(text);
-                shutdown
-            },
+            |req, reply| handle_request(&mut s, req, reply),
         )
         .unwrap();
         assert_eq!(
@@ -771,10 +762,7 @@ mod tests {
         });
         let mut s = session(2, 2, 3);
         serve_readiness_loop(listener, LoopOptions::default(), |req, reply| {
-            let (text, shutdown) = s.handle_buffered(req);
-            reply.clear();
-            reply.push_str(text);
-            shutdown
+            handle_request(&mut s, req, reply)
         })
         .unwrap();
         let replies = decode_frames(&client.join().unwrap());
@@ -793,10 +781,11 @@ mod tests {
             },
             ..ServeConfig::new(4)
         };
-        let oracle = ConcurrentStore::new(&tasks, &campaign(), &patient, 11).unwrap();
+        let per_shard = || Store::new(&tasks, &campaign(), &patient, 11, StreamMode::PerShard);
+        let mut oracle = per_shard().unwrap();
         oracle.drain_shard_by_shard();
 
-        let store = ConcurrentStore::new(&tasks, &campaign(), &patient, 11).unwrap();
+        let mut store = per_shard().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let clients: Vec<_> = (0..4)
@@ -842,7 +831,7 @@ mod tests {
             LoopOptions {
                 expected_clients: Some(4),
             },
-            |req, reply| store.handle_into(req, reply),
+            |req, reply| handle_request(&mut store, req, reply),
         )
         .unwrap();
         for c in clients {

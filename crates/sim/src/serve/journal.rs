@@ -38,8 +38,8 @@ use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use super::concurrent::StreamMode;
-use super::store::{Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
-use super::{StoreEnum, WorkStore};
+use super::store::{Issue, ReturnAck, ServeConfig, ServeError, ServeStats, Store};
+use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::faults::FaultModel;
 use crate::outcome::CampaignOutcome;
@@ -944,7 +944,7 @@ pub fn parse_journal(bytes: &[u8], opts: ReplayOptions) -> Result<ParsedJournal,
 pub struct Replayed {
     /// The reconstructed store — bit-identical (outcome, RNG streams,
     /// stats) to the store that wrote the verified prefix.
-    pub store: StoreEnum,
+    pub store: Store,
     /// The session header the store was rebuilt from.
     pub header: SessionHeader,
     /// Verified records replayed (header included).
@@ -1010,7 +1010,7 @@ pub fn replay_groups(
             ..FaultModel::none()
         },
     };
-    let mut store = StoreEnum::from_groups(groups, campaign, &serve, header.seed, header.mode)
+    let mut store = Store::from_groups(groups, campaign, &serve, header.seed, header.mode)
         .map_err(|detail| JournalError::BadRecord { index: 0, detail })?;
     // The `(timeouts, lost)` deltas the next tick must reproduce.
     let mut pending: Option<(u64, u64)> = None;
@@ -1094,7 +1094,7 @@ pub fn replay_groups(
 /// Execute one tick and verify its expiry deltas against the pending
 /// timeout-requeue record (or no change, if none was logged).
 fn verified_tick(
-    store: &mut StoreEnum,
+    store: &mut Store,
     pending: &mut Option<(u64, u64)>,
     index: u64,
 ) -> Result<Issue, JournalError> {
@@ -1217,7 +1217,7 @@ mod tests {
         writer
             .append(&Record::Header(header_for(tasks, cfg, serve, seed, mode)))
             .unwrap();
-        let store = StoreEnum::new(tasks, cfg, serve, seed, mode).unwrap();
+        let store = Store::new(tasks, cfg, serve, seed, mode).unwrap();
         let mut js = JournaledStore::new(store, Some(writer));
         let mut snaps = vec![(1u64, DrainState::of(&js))];
         let mut held: Vec<Assignment> = Vec::new();
@@ -1361,7 +1361,7 @@ mod tests {
             writer
                 .append(&Record::Header(header_for(&tasks, &cfg, &serve, 7, mode)))
                 .unwrap();
-            let store = StoreEnum::new(&tasks, &cfg, &serve, 7, mode).unwrap();
+            let store = Store::new(&tasks, &cfg, &serve, 7, mode).unwrap();
             let mut js = JournaledStore::new(store, Some(writer));
             let mut held = 0u64;
             for i in 0..60 {
@@ -1384,7 +1384,7 @@ mod tests {
             let replayed = replay(&buf.snapshot(), &tasks, &cfg).unwrap();
             assert_drain_equivalent(&DrainState::of(&replayed.store), &state);
             // And the recovered endpoint is the uninterrupted endpoint.
-            let mut oracle = StoreEnum::new(&tasks, &cfg, &serve, 7, mode).unwrap();
+            let mut oracle = Store::new(&tasks, &cfg, &serve, 7, mode).unwrap();
             oracle.drain();
             assert_drain_equivalent(&DrainState::of(&oracle), &state);
         }
@@ -1443,7 +1443,7 @@ mod tests {
                     StreamMode::Single,
                 )))
                 .unwrap();
-            let store = StoreEnum::new(&tasks, &cfg, &serve, 5, StreamMode::Single).unwrap();
+            let store = Store::new(&tasks, &cfg, &serve, 5, StreamMode::Single).unwrap();
             let mut js = JournaledStore::new(store, Some(writer));
             js.drain();
             js.note_shutdown();

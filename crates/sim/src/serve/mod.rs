@@ -8,52 +8,45 @@
 //! judges returns incrementally, and answers a tiny request/response
 //! protocol ([`protocol`]) over any byte stream.
 //!
-//! Two store flavors implement the same [`WorkStore`] surface, trading
-//! different determinism contracts for different concurrency:
+//! One store type, [`Store`] ([`store`]), serves in two stream modes
+//! ([`StreamMode`]), trading different determinism contracts:
 //!
-//! * [`store`] — the **single-stream** [`AssignmentStore`]: one session
-//!   RNG, centralized dispatch.  A drained session reproduces the batch
-//!   kernel **bit for bit** — same
-//!   [`CampaignOutcome`], same final RNG state —
-//!   under any client interleaving.  This is the
-//!   bit-compat oracle the `ext_serve` snapshots pin; clients serialize
-//!   on one lock.
-//! * [`concurrent`] — the **per-shard-stream** [`ConcurrentStore`]: each
-//!   shard owns its own lock, free-list, task window, stats cell, and a
-//!   `SeedSequence::derive(shard)` RNG stream, so clients on different
-//!   shards proceed in parallel.  A drained store's merged outcome,
-//!   per-shard final RNGs, and stats are byte-identical across any
-//!   client count and request schedule at a fixed shard count; the
-//!   matching oracle drains shard-by-shard.
+//! * **single stream** — one shard machine over the whole workload on one
+//!   session RNG.  A drained session reproduces the batch kernel **bit for
+//!   bit** — same [`CampaignOutcome`], same final RNG state — under any
+//!   client interleaving.  This is the bit-compat oracle the `ext_serve`
+//!   snapshots pin.
+//! * **per-shard streams** — one machine per hash shard, each with its own
+//!   task window, stats cell, and `SeedSequence::derive(shard)` RNG
+//!   stream.  A drained store's merged outcome, per-shard final RNGs, and
+//!   stats are byte-identical across any client count and request
+//!   schedule at a fixed shard count; the matching oracle drains
+//!   shard-by-shard.
 //!
-//! Both run the same shard state machine over a window of the tasks in
-//! flight, which retires tasks once they are judged: one machine over the
-//! whole workload, or one per shard.
+//! The store is built from a plan's spec groups
+//! ([`plan_groups`](crate::task::plan_groups)) through
+//! [`Store::from_groups`], [`workload_fingerprint_groups`] and
+//! [`replay_groups`], which is how `redundancy serve` builds it in every
+//! mode: start-up does O(groups) work and holds O(groups) memory before
+//! the first request, and the store's `u32` task limit is checked before
+//! anything per task is allocated.  Task state appears only as tasks
+//! activate.  The `&[TaskSpec]` entry points ([`Store::new`],
+//! [`workload_fingerprint`], [`replay_with`]) group their input once and
+//! call the groups path.
 //!
-//! Stores are built from a plan's spec groups
-//! ([`plan_groups`](crate::task::plan_groups)) through the `from_groups`
-//! constructors, [`workload_fingerprint_groups`] and [`replay_groups`],
-//! which is how `redundancy serve` builds them in every mode: start-up
-//! does O(groups) work and holds O(groups) memory before the first
-//! request, and the store's `u32` task limit is checked before anything
-//! per task is allocated.  Task state appears only as tasks activate, and
-//! a hash shard counts the tasks it owns only when asked for its own
-//! stats cell.  The `&[TaskSpec]` entry points ([`ConcurrentStore::new`],
-//! [`ServeSession::new`], [`StoreEnum::new`], [`workload_fingerprint`],
-//! [`replay_with`]) group their input once and call the groups path.
+//! One thread owns the store: every method that changes it takes `&mut
+//! self`.  [`epoll`] supplies the Linux readiness loop both TCP serve
+//! modes run on, one thread answering one request at a time, and the
+//! stdio transport ([`serve_connection`]) is one thread too, so neither
+//! takes a lock.  [`journal`] layers an append-only, checksummed event log
+//! over any [`WorkStore`] so a crashed session can be [`replay`]ed back to
+//! a bit-identical store.
 //!
-//! [`epoll`] supplies the Linux readiness-loop transport both TCP serve
-//! modes run on (with the threaded loop, which shares the store behind one
-//! lock, kept as the portable fallback),
-//! and [`journal`] layers an append-only, checksummed event log over any
-//! [`WorkStore`] so a crashed session can be [`replay`]ed back to a
-//! bit-identical store.
-//!
-//! The epoll and stdio transports serve one request at a time on one
-//! thread, so they own their store and reach it with exclusive access:
-//! the owned [`ConcurrentStore`] (and [`StoreEnum`] over it) issues and
-//! returns through `get_mut`, taking no lock.  The per-shard locks remain
-//! for `&self` callers, which share one store across threads.
+//! Three older names remain as thin wrappers, because the end-to-end
+//! benchmark's host and oracle compile against them: [`StoreEnum`] (an
+//! alias of [`Store`]), [`ServeSession`] (a single-stream store with a
+//! reply buffer) and [`ConcurrentStore`] (a per-shard store behind one
+//! lock, for a store shared across threads).
 
 pub mod concurrent;
 pub mod epoll;
@@ -74,13 +67,12 @@ pub use protocol::{
     write_frame, Frame, FrameKind, Reply, ServeSession, SessionEnd, MAX_FRAME,
 };
 pub use store::{
-    drain_session, serve_experiment, Assignment, AssignmentStore, Issue, ReturnAck, ServeConfig,
-    ServeError, ServeStats,
+    drain_session, serve_experiment, Assignment, Issue, ReturnAck, ServeConfig, ServeError,
+    ServeStats, Store,
 };
 
-use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
+use crate::task::TaskId;
 use redundancy_stats::DeterministicRng;
 
 /// Everything a serve transport or driver needs from a live store: the
@@ -88,12 +80,11 @@ use redundancy_stats::DeterministicRng;
 /// determinism oracles compare (outcome, final RNG streams, stats), and
 /// the recovery hooks the journal layer wraps.
 ///
-/// Both store flavors implement it — [`ServeSession`] (single stream),
-/// the owned [`ConcurrentStore`] (exclusive access, no lock) and
-/// [`&ConcurrentStore`](ConcurrentStore) (per-shard locks, so the *shared
-/// reference* is the mutable handle) — as do the [`StoreEnum`] dispatcher
-/// and the journaling decorator [`JournaledStore`], so [`handle_request`]
-/// and the CLI's serve driver are written once, generically.
+/// [`Store`] implements it, as do the journaling decorator
+/// [`JournaledStore`], the [`ServeSession`] wrapper and
+/// [`&ConcurrentStore`](ConcurrentStore) (one lock, so the *shared
+/// reference* is the mutable handle), so [`handle_request`] and the CLI's
+/// serve driver are written once, generically.
 pub trait WorkStore {
     /// Hand out the next copy of work (advancing the tick clock, which
     /// expires overdue in-flight copies).
@@ -108,8 +99,8 @@ pub trait WorkStore {
     /// Fold the partial outcomes into one [`CampaignOutcome`].
     fn merged_outcome(&self) -> CampaignOutcome;
 
-    /// A clone of every RNG stream's current state: one element for the
-    /// single-stream store, one per shard for the concurrent store.  The
+    /// A clone of every RNG stream's current state: one element for a
+    /// single-stream store, one per shard for a per-shard store.  The
     /// drained-state oracles (and journal replay) compare these exactly.
     fn final_rngs(&self) -> Vec<DeterministicRng>;
 
@@ -149,141 +140,8 @@ pub trait WorkStore {
     }
 }
 
-/// A store of either flavor behind one concrete type, so drivers that
-/// choose the flavor at runtime (the CLI, journal [`replay`]) don't need
-/// trait objects over [`WorkStore`]'s non-object-safe surface.
-// One store exists per session and it is never moved on the hot path,
-// so the size gap between the inline `ServeSession` and the
-// mutex-backed `ConcurrentStore` costs nothing worth a Box.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum StoreEnum {
-    /// The single-stream [`ServeSession`] (store + session RNG).
-    Single(ServeSession),
-    /// The per-shard-stream [`ConcurrentStore`].
-    PerShard(ConcurrentStore),
-}
-
-impl StoreEnum {
-    /// Build the store flavor `mode` selects over `tasks`: groups them and
-    /// calls [`from_groups`](Self::from_groups).
-    pub fn new(
-        tasks: &[TaskSpec],
-        config: &CampaignConfig,
-        serve: &ServeConfig,
-        seed: u64,
-        mode: StreamMode,
-    ) -> Result<Self, String> {
-        Self::from_groups(
-            &grouped_specs(tasks).collect::<Vec<_>>(),
-            config,
-            serve,
-            seed,
-            mode,
-        )
-    }
-
-    /// Build the store flavor `mode` selects over the spec groups
-    /// `groups`, in O(groups).
-    pub fn from_groups(
-        groups: &[SpecGroup],
-        config: &CampaignConfig,
-        serve: &ServeConfig,
-        seed: u64,
-        mode: StreamMode,
-    ) -> Result<Self, String> {
-        Ok(match mode {
-            StreamMode::Single => {
-                StoreEnum::Single(ServeSession::from_groups(groups, config, serve, seed)?)
-            }
-            StreamMode::PerShard => {
-                StoreEnum::PerShard(ConcurrentStore::from_groups(groups, config, serve, seed)?)
-            }
-        })
-    }
-
-    /// Which stream mode this store runs under.
-    pub fn mode(&self) -> StreamMode {
-        match self {
-            StoreEnum::Single(_) => StreamMode::Single,
-            StoreEnum::PerShard(_) => StreamMode::PerShard,
-        }
-    }
-
-    /// The concurrent store, if this is the per-shard flavor.
-    pub fn as_concurrent(&self) -> Option<&ConcurrentStore> {
-        match self {
-            StoreEnum::Single(_) => None,
-            StoreEnum::PerShard(c) => Some(c),
-        }
-    }
-
-    /// Unwrap into the concurrent store, if this is the per-shard flavor.
-    pub fn into_concurrent(self) -> Option<ConcurrentStore> {
-        match self {
-            StoreEnum::Single(_) => None,
-            StoreEnum::PerShard(c) => Some(c),
-        }
-    }
-}
-
-impl WorkStore for StoreEnum {
-    fn request_work(&mut self) -> Issue {
-        match self {
-            StoreEnum::Single(s) => WorkStore::request_work(s),
-            StoreEnum::PerShard(c) => c.request_work_mut(),
-        }
-    }
-
-    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        match self {
-            StoreEnum::Single(s) => WorkStore::return_result(s, task, copy),
-            StoreEnum::PerShard(c) => c.return_result_mut(task, copy),
-        }
-    }
-
-    fn stats(&self) -> ServeStats {
-        match self {
-            StoreEnum::Single(s) => s.store.stats(),
-            StoreEnum::PerShard(c) => c.stats(),
-        }
-    }
-
-    fn merged_outcome(&self) -> CampaignOutcome {
-        match self {
-            StoreEnum::Single(s) => s.store.merged_outcome(),
-            StoreEnum::PerShard(c) => c.merged_outcome(),
-        }
-    }
-
-    fn final_rngs(&self) -> Vec<DeterministicRng> {
-        match self {
-            StoreEnum::Single(s) => vec![s.rng.clone()],
-            StoreEnum::PerShard(c) => c.final_rngs(),
-        }
-    }
-
-    fn is_drained(&self) -> bool {
-        match self {
-            StoreEnum::Single(s) => s.store.is_drained(),
-            StoreEnum::PerShard(c) => c.is_drained(),
-        }
-    }
-
-    fn expiry_counters(&self) -> (u64, u64) {
-        match self {
-            StoreEnum::Single(s) => s.store.expiry_counters(),
-            StoreEnum::PerShard(c) => c.expiry_counters(),
-        }
-    }
-
-    fn reset_in_flight(&mut self) -> u64 {
-        match self {
-            StoreEnum::Single(s) => s.store.reset_in_flight(),
-            StoreEnum::PerShard(c) => c.reset_in_flight(),
-        }
-    }
-}
+/// The store's former name, kept for the benchmark's host.
+pub type StoreEnum = Store;
 
 /// The comparable endpoint of a drained (or replayed) store: outcome,
 /// final RNG streams, and — when the source tracks them — live stats.

@@ -50,18 +50,18 @@
 //! zeros.
 //!
 //! The transport is generic over [`Read`]/[`Write`], so the same loop
-//! serves stdio (deterministic, byte-fixture-testable), in-memory buffers
-//! (the integration tests), and per-connection TCP sockets (the CLI).
+//! serves stdio (deterministic, byte-fixture-testable) and in-memory
+//! buffers (the integration tests).  TCP connections run on the epoll
+//! readiness loop, which takes the same request handler.
 
 use std::io::{self, Read, Write};
 
-use super::store::{
-    Assignment, AssignmentStore, Issue, ReturnAck, ServeConfig, ServeError, ServeStats,
-};
+use super::concurrent::StreamMode;
+use super::store::{Assignment, Issue, ReturnAck, ServeConfig, ServeError, ServeStats, Store};
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{grouped_specs, SpecGroup, TaskId, TaskSpec};
+use crate::task::{SpecGroup, TaskId, TaskSpec};
 use redundancy_stats::DeterministicRng;
 
 /// Maximum frame payload, in bytes.  Requests are one short line and the
@@ -177,12 +177,11 @@ pub enum SessionEnd {
 
 /// Parse one request line and format the response into `reply` (cleared
 /// first); returns true when the session should end (`shutdown`).  Any
-/// [`WorkStore`] — the single-stream [`ServeSession`], the
-/// per-shard-stream [`ConcurrentStore`](super::ConcurrentStore) (owned, or
-/// shared as `&ConcurrentStore`), or a journaling wrapper over either —
-/// can sit behind it, and this is the *only* place request text is parsed
-/// and reply text is formatted, so the store flavors and the transports
-/// cannot drift byte-wise.  The grammar is in the module docs; the reply
+/// [`WorkStore`] — a [`Store`] in either stream mode, a journaling wrapper
+/// over one, or a shared `&ConcurrentStore` — can sit behind it, and this
+/// is the *only* place request text is parsed and reply text is
+/// formatted, so the stream modes and the transports cannot drift
+/// byte-wise.  The grammar is in the module docs; the reply
 /// bytes for every verb are pinned by the protocol tests and the golden
 /// snapshots.
 pub fn handle_request<S: WorkStore>(src: &mut S, request: &str, reply: &mut String) -> bool {
@@ -366,51 +365,44 @@ fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
     end
 }
 
-/// A single-client session: the store plus the session RNG, with requests
-/// handled as protocol text.  The CLI's TCP listener shares one session
-/// across connections behind a mutex; the stdio and in-memory transports
-/// own it directly.
+/// A single-stream [`Store`] plus a reusable reply buffer, answering
+/// requests as protocol text.  It remains as a name the benchmark's oracle
+/// compiles against; the transports answer through [`handle_request`].
 #[derive(Debug)]
 pub struct ServeSession {
-    /// The live assignment store.
-    pub store: AssignmentStore,
-    /// The session RNG every activation draws from.
-    pub rng: DeterministicRng,
+    store: Store,
     /// Reply scratch reused by [`handle_buffered`](Self::handle_buffered):
     /// after warm-up the per-request path allocates nothing.
     reply_buf: String,
 }
 
 impl ServeSession {
-    /// A fresh session over `tasks`, seeded deterministically: groups them
-    /// and calls [`from_groups`](Self::from_groups).
+    /// A fresh single-stream session over `tasks`; see [`Store::new`].
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
         serve: &ServeConfig,
         seed: u64,
     ) -> Result<Self, String> {
-        Self::from_groups(
-            &grouped_specs(tasks).collect::<Vec<_>>(),
-            config,
-            serve,
-            seed,
-        )
+        Store::new(tasks, config, serve, seed, StreamMode::Single).map(Self::wrap)
     }
 
-    /// A fresh session over the spec groups `groups`, seeded
-    /// deterministically, in O(groups).
+    /// A fresh single-stream session over the spec groups `groups`; see
+    /// [`Store::from_groups`].
     pub fn from_groups(
         groups: &[SpecGroup],
         config: &CampaignConfig,
         serve: &ServeConfig,
         seed: u64,
     ) -> Result<Self, String> {
-        Ok(ServeSession {
-            store: AssignmentStore::from_groups(groups, config, serve)?,
-            rng: DeterministicRng::new(seed),
+        Store::from_groups(groups, config, serve, seed, StreamMode::Single).map(Self::wrap)
+    }
+
+    fn wrap(store: Store) -> Self {
+        ServeSession {
+            store,
             reply_buf: String::new(),
-        })
+        }
     }
 
     /// Handle one request line, producing an owned response (allocating
@@ -426,19 +418,17 @@ impl ServeSession {
 
     /// Handle one request line into the session's reusable reply buffer,
     /// returning the response text and whether the session should end.
-    /// The borrow ends at the next call, so hot loops (the bench drain,
-    /// the transport loop) pay zero allocations per request.
+    /// The borrow ends at the next call, so hot loops pay zero
+    /// allocations per request.
     pub fn handle_buffered(&mut self, request: &str) -> (&str, bool) {
-        let mut reply = std::mem::take(&mut self.reply_buf);
-        let shutdown = handle_request(self, request, &mut reply);
-        self.reply_buf = reply;
+        let shutdown = handle_request(&mut self.store, request, &mut self.reply_buf);
         (&self.reply_buf, shutdown)
     }
 }
 
 impl WorkStore for ServeSession {
     fn request_work(&mut self) -> Issue {
-        self.store.request_work(&mut self.rng)
+        self.store.request_work()
     }
 
     fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
@@ -454,7 +444,7 @@ impl WorkStore for ServeSession {
     }
 
     fn final_rngs(&self) -> Vec<DeterministicRng> {
-        vec![self.rng.clone()]
+        self.store.final_rngs()
     }
 
     fn is_drained(&self) -> bool {
@@ -471,17 +461,19 @@ impl WorkStore for ServeSession {
 }
 
 /// Run the framed request/response loop over any byte stream, delegating
-/// each decoded request to `handle` (typically [`ServeSession::handle`],
-/// possibly behind a lock).  Responses are flushed per frame so interactive
-/// transports never stall.
+/// each decoded request to `handle`, which formats its reply into the
+/// provided scratch and returns true on `shutdown` — the same handler the
+/// epoll readiness loop takes.  Responses are flushed per frame so
+/// interactive transports never stall.
 pub fn serve_connection<R: Read, W: Write>(
     r: &mut R,
     w: &mut W,
-    mut handle: impl FnMut(&str) -> Reply,
+    mut handle: impl FnMut(&str, &mut String) -> bool,
 ) -> io::Result<SessionEnd> {
-    // One decode buffer for the whole connection: after the largest frame
-    // has been seen, the read side stops allocating.
+    // One decode buffer and one reply buffer for the whole connection:
+    // after the largest frame has been seen, the loop stops allocating.
     let mut payload = Vec::new();
+    let mut reply = String::new();
     loop {
         match read_frame_into(r, &mut payload)? {
             FrameKind::Eof => return Ok(SessionEnd::Eof),
@@ -501,10 +493,10 @@ pub fn serve_connection<R: Read, W: Write>(
                     w.flush()?;
                     continue;
                 };
-                let reply = handle(text);
-                write_frame(w, &reply.text)?;
+                let shutdown = handle(text, &mut reply);
+                write_frame(w, &reply)?;
                 w.flush()?;
-                if reply.shutdown {
+                if shutdown {
                     return Ok(SessionEnd::Shutdown);
                 }
             }
@@ -663,7 +655,10 @@ mod tests {
         ];
         let mut input: &[u8] = &script_frames(&script)[..];
         let mut output = Vec::new();
-        let end = serve_connection(&mut input, &mut output, |req| s.handle(req)).unwrap();
+        let end = serve_connection(&mut input, &mut output, |req, reply| {
+            handle_request(&mut s, req, reply)
+        })
+        .unwrap();
         assert_eq!(end, SessionEnd::Shutdown);
         let replies = decode_frames(&output);
         assert_eq!(
@@ -681,7 +676,7 @@ mod tests {
                 "bye",
             ]
         );
-        assert!(s.store.is_drained());
+        assert!(s.is_drained());
     }
 
     #[test]
@@ -764,13 +759,19 @@ mod tests {
         let mut s = session(1, 2, 1);
         let mut input: &[u8] = &[0x00, 0x01];
         let mut output = Vec::new();
-        let end = serve_connection(&mut input, &mut output, |req| s.handle(req)).unwrap();
+        let end = serve_connection(&mut input, &mut output, |req, reply| {
+            handle_request(&mut s, req, reply)
+        })
+        .unwrap();
         assert_eq!(end, SessionEnd::Malformed);
         assert_eq!(decode_frames(&output), vec!["err truncated-frame"]);
 
         let mut input: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF];
         let mut output = Vec::new();
-        let end = serve_connection(&mut input, &mut output, |req| s.handle(req)).unwrap();
+        let end = serve_connection(&mut input, &mut output, |req, reply| {
+            handle_request(&mut s, req, reply)
+        })
+        .unwrap();
         assert_eq!(end, SessionEnd::Malformed);
         assert_eq!(
             decode_frames(&output),
@@ -790,7 +791,10 @@ mod tests {
         write_frame(&mut input, "shutdown").unwrap();
         let mut r: &[u8] = &input;
         let mut output = Vec::new();
-        let end = serve_connection(&mut r, &mut output, |req| s.handle(req)).unwrap();
+        let end = serve_connection(&mut r, &mut output, |req, reply| {
+            handle_request(&mut s, req, reply)
+        })
+        .unwrap();
         assert_eq!(end, SessionEnd::Shutdown);
         assert_eq!(decode_frames(&output), vec!["err invalid-utf8", "bye"]);
     }
@@ -805,7 +809,7 @@ mod tests {
         let after = s.handle("stats").text;
         assert!(after.contains("issued 1"));
         assert!(after.contains("in-flight 1"));
-        assert_eq!(after, s.store.stats().render());
+        assert_eq!(after, s.stats().render());
     }
 
     #[test]
@@ -813,7 +817,10 @@ mod tests {
         let mut s = session(1, 2, 1);
         let mut input: &[u8] = &script_frames(&["request-work"])[..];
         let mut output = Vec::new();
-        let end = serve_connection(&mut input, &mut output, |req| s.handle(req)).unwrap();
+        let end = serve_connection(&mut input, &mut output, |req, reply| {
+            handle_request(&mut s, req, reply)
+        })
+        .unwrap();
         assert_eq!(end, SessionEnd::Eof);
         assert_eq!(decode_frames(&output).len(), 1);
     }

@@ -1,13 +1,13 @@
-//! The one shard state machine both serve stores run on, over a window of
-//! the tasks in flight.
+//! The shard state machine the serve [`Store`](super::Store) runs, over a
+//! window of the tasks in flight.
 //!
-//! A [`ShardStore`] owns a slice of the workload — every task for the
-//! single-stream [`AssignmentStore`](super::AssignmentStore), the ids one
-//! hash shard owns for the [`ConcurrentStore`](super::ConcurrentStore) —
-//! and activates it lazily, in id order, as clients request work.  It
-//! issues copies, tracks them in flight under tick-based timeouts (the
-//! [`FaultModel`](crate::faults::FaultModel) retry policy), and judges a
-//! task the moment its last copy returns or is abandoned.
+//! A [`ShardStore`] owns a slice of the workload — every task in
+//! single-stream mode, the ids one hash shard owns in per-shard mode — and
+//! its own RNG stream, and activates its slice lazily, in id order, as
+//! clients request work.  It issues copies, tracks them in flight under
+//! tick-based timeouts (the [`FaultModel`](crate::faults::FaultModel)
+//! retry policy), and judges a task the moment its last copy returns or is
+//! abandoned.
 //!
 //! # Construction is O(groups)
 //!
@@ -68,8 +68,9 @@
 //! A copy held past every other keeps its task, and so the window, pinned
 //! until it returns or times out.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use super::store::{Assignment, Issue, ReturnAck, ServeConfig, ServeError, ServeStats};
 use crate::adversary::AdversaryModel;
@@ -293,7 +294,9 @@ pub(crate) struct ShardStore {
     owner: Owner,
     /// `(tasks, copies)` a hash shard owns, counted on first use (see
     /// the module docs).
-    owned: OnceLock<(u64, u64)>,
+    owned: OnceCell<(u64, u64)>,
+    /// The stream every activation draws from.
+    rng: DeterministicRng,
     /// The activation walk: the next workload index to consider, and the
     /// group it falls in.
     cursor: u64,
@@ -325,14 +328,15 @@ pub(crate) struct ShardStore {
 }
 
 impl ShardStore {
-    /// A shard over the tasks `owner` owns.  Its outcome starts at
-    /// `campaigns` campaigns: a store counts its one campaign on exactly
-    /// one shard.
+    /// A shard over the tasks `owner` owns, drawing from `rng`.  Its
+    /// outcome starts at `campaigns` campaigns: a store counts its one
+    /// campaign on exactly one shard.
     pub(crate) fn new(
         workload: Arc<Workload>,
         serve: &ServeConfig,
         owner: Owner,
         campaigns: u64,
+        rng: DeterministicRng,
     ) -> Self {
         ShardStore {
             timeout: serve.faults.timeout,
@@ -340,7 +344,8 @@ impl ShardStore {
             errorful: workload.config.honest_error_rate > 0.0,
             workload,
             owner,
-            owned: OnceLock::new(),
+            owned: OnceCell::new(),
+            rng,
             cursor: 0,
             group: 0,
             active: None,
@@ -409,6 +414,11 @@ impl ShardStore {
         &self.outcome
     }
 
+    /// This shard's RNG stream, as far as it has been drawn.
+    pub(crate) fn rng(&self) -> &DeterministicRng {
+        &self.rng
+    }
+
     /// Running `(timeouts, lost)` totals.
     pub(crate) fn expiry_counters(&self) -> (u64, u64) {
         (self.outcome.timeouts, self.lost)
@@ -422,14 +432,14 @@ impl ShardStore {
     /// Hand out the next copy of work: advance the tick clock, expire
     /// overdue copies, then serve re-queued copies first and freshly
     /// activated tasks after.
-    pub(crate) fn request_work(&mut self, rng: &mut DeterministicRng) -> Issue {
+    pub(crate) fn request_work(&mut self) -> Issue {
         self.now += 1;
         self.expire_overdue();
         if let Some((rank, copy, attempt)) = self.requeue.pop_front() {
             return Issue::Work(self.issue(rank, copy, attempt));
         }
         if self.active.is_none() {
-            self.activate_next(rng);
+            self.activate_next();
         }
         if let Some((rank, copy)) = self.active {
             let mult = self.tasks[self.slot(rank)].mult;
@@ -599,9 +609,10 @@ impl ShardStore {
     /// Draw holdings and materialize the next owned task, making it the
     /// active dispatch target.  Returns false when every owned task is
     /// activated.
-    fn activate_next(&mut self, rng: &mut DeterministicRng) -> bool {
+    fn activate_next(&mut self) -> bool {
         let (rank, first_copy) = self.activated();
         let w = &*self.workload;
+        let rng = &mut self.rng;
         let index = loop {
             if self.cursor >= w.total_tasks {
                 return false;

@@ -1,16 +1,48 @@
-//! The single-stream assignment store behind `redundancy serve`, and the
-//! types every serve store shares.
+//! The serve store behind `redundancy serve`, and the types every serve
+//! transport shares.
 //!
-//! The store turns the batch campaign kernel inside out: instead of one
+//! [`Store`] turns the batch campaign kernel inside out: instead of one
 //! loop that draws, materializes, and judges every task, tasks are
-//! *activated on demand* as clients call [`AssignmentStore::request_work`],
-//! copies are tracked in flight with tick-based timeouts (reusing the
-//! [`FaultModel`] retry policy), and a task is judged the moment its last
-//! copy returns or is abandoned.  The Balanced/S_m multiplicity mix is
-//! maintained incrementally: the activation cursor walks the plan's spec
-//! groups ([`plan_groups`](crate::task::plan_groups)) in task-id order,
-//! so the multiset of multiplicities handed out is — at every moment — a
-//! prefix of the exact mix the batch kernel would deal.
+//! *activated on demand* as clients request work, copies are tracked in
+//! flight with tick-based timeouts (reusing the [`FaultModel`] retry
+//! policy), and a task is judged the moment its last copy returns or is
+//! abandoned.  The Balanced/S_m multiplicity mix is maintained
+//! incrementally: the activation cursor walks the plan's spec groups
+//! ([`plan_groups`](crate::task::plan_groups)) in task-id order, so the
+//! multiset of multiplicities handed out is — at every moment — a prefix of
+//! the exact mix the batch kernel would deal.
+//!
+//! # One store, two stream modes
+//!
+//! A store is a list of shard machines (`serve::shard`), each drawing from
+//! its own RNG stream, plus a round-robin router.  `request_work` scans the
+//! machines from the router, one step further on each request, and takes
+//! the first copy one hands out; a return goes to the machine that owns its
+//! task.  [`StreamMode`] picks the machines:
+//!
+//! * **Single stream**: one machine over every task, on
+//!   `DeterministicRng::new(seed)`.  Dispatch order, and so RNG order, is
+//!   one activation cursor, which makes a drained session bit-identical to
+//!   the batch kernel (below).  The configured shard count is kept for the
+//!   journal header and the reports; it cannot perturb outcomes.
+//! * **Per-shard streams**: task ids are partitioned over the shards by an
+//!   FNV-1a id hash, and shard `s` draws every activation from
+//!   `DeterministicRng::new(SeedSequence::new(seed).derive(s))`, activating
+//!   its own ids in id order.  A shard's activation sequence is therefore a
+//!   pure function of `(seed, shard count, s)`: no request schedule can
+//!   perturb it, because no other shard touches its stream.  With a
+//!   timeout no client trips, a drained store's merged outcome, per-shard
+//!   final RNG states and rendered stats are byte-identical across any
+//!   client count and request schedule at a fixed shard count.  The
+//!   matching oracle is [`Store::drain_shard_by_shard`]: draining shard 0
+//!   to completion, then shard 1, and so on must land in the same state as
+//!   any interleaved drain.
+//!
+//! Every method that changes the store takes `&mut self`.  The daemon's io
+//! loops are one thread that answers one request at a time, so they own
+//! their store outright and no request takes a lock.  A caller that shares
+//! a store across threads puts it behind one lock:
+//! [`ConcurrentStore`](super::ConcurrentStore).
 //!
 //! # Bit-identity with the batch kernel
 //!
@@ -20,28 +52,28 @@
 //! then (only when `honest_error_rate > 0`) the honest copies' fault
 //! draws.  Returns and judging consume no randomness, and every
 //! [`CampaignOutcome`] counter is a commutative sum, so a *drained*
-//! session — every copy returned, no timeouts — produces an outcome and a
-//! final RNG state bit-identical to the batch kernel on the same tasks,
-//! config, and seed, regardless of the interleaving of client requests.
-//! The `ext_serve` exhibit and the serve proptests pin this end to end.
+//! single-stream session — every copy returned, no timeouts — produces an
+//! outcome and a final RNG state bit-identical to the batch kernel on the
+//! same tasks, config, and seed, regardless of the interleaving of client
+//! requests.  The `ext_serve` exhibit and the serve proptests pin this end
+//! to end.
 //!
 //! # Storage
 //!
-//! The store is one shard state machine (`serve::shard`, the one the
-//! per-shard store runs per shard) over the whole workload: dispatch
-//! order (and therefore RNG order) is one activation cursor, and task
-//! state lives in that machine's live window, which holds the tasks from
-//! the oldest unjudged one to the cursor and retires judged tasks off its
-//! front.  A task's activation rank is its index in the workload, so a
-//! return finds its task by subtracting the retired count; a return to a
-//! retired task is answered from the task's spec group.  Memory therefore
-//! follows the tasks in flight, not the tasks served.  The configured
-//! shard count is kept for the journal header and the reports; it cannot
-//! perturb outcomes.
+//! Each machine keeps only a live window of its tasks, from the oldest
+//! unjudged one to its activation cursor, and retires judged tasks off the
+//! window's front; a return to a retired task is answered from the task's
+//! spec group.  Memory therefore follows the tasks in flight, not the
+//! tasks served.  The store is built from the plan's spec groups in
+//! O(groups + shards) and hashes no id up front: a shard hashes an id when
+//! its activation walk reaches it, and counts the tasks it owns only when
+//! asked for its own stats cell.
 
 use std::sync::Arc;
 
-use super::shard::{Owner, ShardStore, Workload};
+use super::concurrent::StreamMode;
+use super::shard::{shard_of, Owner, ShardStore, Workload};
+use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::experiment::{DetectionEstimate, ExperimentConfig};
 use crate::faults::FaultModel;
@@ -49,7 +81,7 @@ use crate::outcome::CampaignOutcome;
 use crate::task::{expand_plan, grouped_specs, SpecGroup, TaskId, TaskSpec};
 use redundancy_core::RealizedPlan;
 use redundancy_stats::parallel::{run_trials, TrialConfig};
-use redundancy_stats::DeterministicRng;
+use redundancy_stats::{DeterministicRng, SeedSequence};
 
 /// Configuration of the live store beyond the campaign itself.
 ///
@@ -59,8 +91,8 @@ use redundancy_stats::DeterministicRng;
 /// behavior, not the store's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Number of shards (must be ≥ 1).  The per-shard-stream store spreads
-    /// task state and RNG streams over them; the single-stream store only
+    /// Number of shards (must be ≥ 1).  A per-shard-stream store spreads
+    /// task state and RNG streams over them; a single-stream store only
     /// records the count.
     pub shards: usize,
     /// Retry policy for in-flight copies: a copy outstanding for more than
@@ -304,121 +336,305 @@ impl ServeStats {
     }
 }
 
-/// The live single-stream assignment store: one `ShardStore` over the
-/// whole workload, drawing from the caller's session RNG.  See the module
-/// docs for the activation/judging contract.
+/// The serve store: shard machines, each on its own RNG stream, and the
+/// round-robin router that picks the machine a request is dealt from.
+/// See the module docs for the two stream modes and their determinism
+/// contracts.
 #[derive(Debug)]
-pub struct AssignmentStore {
+pub struct Store {
+    machines: Vec<ShardStore>,
+    /// The machine the next `request_work` scan starts from; always below
+    /// `machines.len()`.
+    router: usize,
+    workload: Arc<Workload>,
+    mode: StreamMode,
+    /// The configured shard count.
     shards: usize,
-    store: ShardStore,
 }
 
-impl AssignmentStore {
+impl Store {
     /// Build a store over `tasks` (contiguous ids, as [`expand_plan`]
-    /// produces) for one campaign: groups them and calls
-    /// [`from_groups`](Self::from_groups).
+    /// produces): groups them and calls [`from_groups`](Self::from_groups).
     pub fn new(
         tasks: &[TaskSpec],
         config: &CampaignConfig,
         serve: &ServeConfig,
+        seed: u64,
+        mode: StreamMode,
     ) -> Result<Self, String> {
-        Self::from_groups(&grouped_specs(tasks).collect::<Vec<_>>(), config, serve)
+        Self::from_groups(
+            &grouped_specs(tasks).collect::<Vec<_>>(),
+            config,
+            serve,
+            seed,
+            mode,
+        )
     }
 
     /// Build a store over the spec groups `groups` (contiguous ids, as
     /// [`plan_groups`](crate::task::plan_groups) produces) for one
-    /// campaign, in O(groups).
+    /// campaign, with the streams `mode` seeds from `seed`.  The work is
+    /// O(groups + shards); the store's task limit is checked before
+    /// anything per task is allocated.
     pub fn from_groups(
         groups: &[SpecGroup],
         config: &CampaignConfig,
         serve: &ServeConfig,
+        seed: u64,
+        mode: StreamMode,
+    ) -> Result<Self, String> {
+        let streams = match mode {
+            StreamMode::Single => vec![DeterministicRng::new(seed)],
+            StreamMode::PerShard => {
+                let seq = SeedSequence::new(seed);
+                (0..serve.shards as u64)
+                    .map(|s| DeterministicRng::new(seq.derive(s)))
+                    .collect()
+            }
+        };
+        Self::on_streams(groups, config, serve, mode, streams)
+    }
+
+    /// Build a store whose machine `s` draws from `streams[s]`: one
+    /// machine over every task in single-stream mode, one per hash shard
+    /// otherwise.
+    fn on_streams(
+        groups: &[SpecGroup],
+        config: &CampaignConfig,
+        serve: &ServeConfig,
+        mode: StreamMode,
+        streams: Vec<DeterministicRng>,
     ) -> Result<Self, String> {
         config.validate()?;
         serve.validate()?;
         let workload = Arc::new(Workload::new(groups, config)?);
-        Ok(AssignmentStore {
+        let of = streams.len();
+        let machines = streams
+            .into_iter()
+            .enumerate()
+            .map(|(index, rng)| {
+                let owner = match mode {
+                    StreamMode::Single => Owner::All,
+                    StreamMode::PerShard => Owner::Shard { index, of },
+                };
+                // The session is one campaign; the counter lives on
+                // machine 0 and surfaces through the merged outcome.
+                let campaigns = u64::from(index == 0);
+                ShardStore::new(Arc::clone(&workload), serve, owner, campaigns, rng)
+            })
+            .collect();
+        Ok(Store {
+            machines,
+            router: 0,
+            workload,
+            mode,
             shards: serve.shards,
-            store: ShardStore::new(workload, serve, Owner::All, 1),
         })
     }
 
-    /// The configured shard count.  The single-stream store keeps its
-    /// task state in one window, so the count cannot perturb outcomes; it
-    /// is kept for the journal header and the reports.
+    /// Which stream mode this store runs under.
+    pub fn mode(&self) -> StreamMode {
+        self.mode
+    }
+
+    /// The configured shard count: the number of machines and RNG streams
+    /// in per-shard mode, kept for the journal header and the reports in
+    /// single-stream mode.
     pub fn shard_count(&self) -> usize {
         self.shards
     }
 
-    /// True once every task has been judged.
-    pub fn is_drained(&self) -> bool {
-        self.store.is_drained()
+    /// Each machine's own stats cell, scoped to the tasks it owns: one
+    /// cell per shard in per-shard mode, the whole session in single-stream
+    /// mode.  The first call counts each hash shard's ownership totals
+    /// (see the module docs); later calls reuse them.
+    pub fn per_shard_stats(&self) -> Vec<ServeStats> {
+        self.machines.iter().map(ShardStore::stats).collect()
     }
 
-    /// Hand out the next copy of work.
-    ///
-    /// Advances the tick clock by one, expires overdue in-flight copies
-    /// (re-queueing or abandoning them per the retry policy), then serves
-    /// re-queued copies first and freshly activated tasks after.
-    pub fn request_work(&mut self, rng: &mut DeterministicRng) -> Issue {
-        self.store.request_work(rng)
+    /// FNV-1a fold over every stream's RNG position (probed by drawing
+    /// from a clone): one number that differs whenever any stream does.
+    pub fn stream_checksum(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            h ^= v;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for (s, rng) in self.final_rngs().iter_mut().enumerate() {
+            fold(s as u64);
+            fold(rng.next_raw());
+            fold(rng.next_raw());
+        }
+        h
     }
 
-    /// Accept the return of one in-flight copy; judges the task when it
-    /// was the last outstanding copy.
-    pub fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        self.store.return_result(task, copy)
-    }
-
-    /// The live session snapshot.
-    pub fn stats(&self) -> ServeStats {
-        self.store.stats()
-    }
-
-    /// The session's outcome — bit-identical to the batch kernel's once
-    /// the session is drained.
-    pub fn merged_outcome(&self) -> CampaignOutcome {
-        self.store.outcome().clone()
-    }
-
-    /// Running `(timeouts, lost)` totals — the deltas the journal layer
-    /// logs around `request_work` to make timeout expiries replayable.
-    pub fn expiry_counters(&self) -> (u64, u64) {
-        self.store.expiry_counters()
-    }
-
-    /// Revert every in-flight copy to pending and re-queue it under its
-    /// current attempt number, returning how many copies were reverted.
-    ///
-    /// No timeout or retry is charged: the copies didn't expire, their
-    /// clients died with a crashed session.  Both `issued` and the
-    /// in-flight count are rolled back so re-issuing the re-queued copies
-    /// lands the drained session in exactly the counters an uninterrupted
-    /// drain reaches (conservation: `issued = returned + timeouts +
-    /// in-flight` holds before and after).
-    pub fn reset_in_flight(&mut self) -> u64 {
-        self.store.reset_in_flight()
-    }
-
-    /// Records in the in-flight queue, stale ones included.  Stays within
-    /// twice the copies in flight plus a small constant, whatever the
-    /// timeout.
+    /// Records in every machine's in-flight queue, stale ones included.
+    /// Stays within twice the copies in flight plus a small constant per
+    /// machine, whatever the timeout.
     pub fn inflight_records(&self) -> usize {
-        self.store.inflight_records()
+        self.machines.iter().map(ShardStore::inflight_records).sum()
+    }
+
+    /// The per-shard oracle: drain machine 0 to completion, then machine
+    /// 1, and so on, returning every copy as soon as it is issued — no
+    /// interleaving across shards at all.  Any drained per-shard store on
+    /// the same (tasks, config, serve, seed) must agree with this one on
+    /// merged outcome, per-shard final RNGs, and stats.
+    pub fn drain_shard_by_shard(&mut self) {
+        for machine in &mut self.machines {
+            loop {
+                match machine.request_work() {
+                    Issue::Work(a) => {
+                        machine
+                            .return_result(a.task, a.copy)
+                            .expect("drain returned an issued copy");
+                    }
+                    Issue::Idle => unreachable!("immediate returns leave nothing in flight"),
+                    Issue::Drained => break,
+                }
+            }
+        }
     }
 
     /// Exhaustively re-derive every counter from the per-copy states and
-    /// panic on any mismatch — conservation of multiplicity.  Used by the
-    /// serve proptests after arbitrary interleavings; cheap enough to call
-    /// inside test loops, never called on the hot path.
+    /// panic on any mismatch — conservation of multiplicity, per machine
+    /// and across machines.  Used by the serve proptests after arbitrary
+    /// interleavings; cheap enough to call inside test loops, never called
+    /// on the hot path.
     pub fn check_invariants(&self) {
-        self.store.check_invariants();
+        let (mut owned, mut copies) = (0u64, 0u64);
+        for machine in &self.machines {
+            machine.check_invariants();
+            let cell = machine.stats();
+            owned += cell.total_tasks;
+            copies += cell.total_copies;
+        }
+        assert_eq!(
+            owned,
+            self.workload.total_tasks(),
+            "shard ownership does not tile"
+        );
+        assert_eq!(
+            copies,
+            self.workload.total_copies(),
+            "shard copies do not tile"
+        );
+    }
+}
+
+impl WorkStore for Store {
+    /// Advances the tick clock of the machines the scan reaches, expires
+    /// their overdue in-flight copies (re-queueing or abandoning them per
+    /// the retry policy), then serves re-queued copies first and freshly
+    /// activated tasks after.  `Drained` is only answered when *every*
+    /// machine reported drained in this scan, and drained-ness is monotone
+    /// (a judged task never un-judges).
+    fn request_work(&mut self) -> Issue {
+        let n = self.machines.len();
+        let start = self.router;
+        self.router = if start + 1 == n { 0 } else { start + 1 };
+        let mut any_idle = false;
+        for s in (start..n).chain(0..start) {
+            match self.machines[s].request_work() {
+                Issue::Work(a) => return Issue::Work(a),
+                Issue::Idle => any_idle = true,
+                Issue::Drained => {}
+            }
+        }
+        if any_idle {
+            Issue::Idle
+        } else {
+            Issue::Drained
+        }
+    }
+
+    /// Routes the return to the machine that owns the task, which judges
+    /// the task when it was the last outstanding copy.
+    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
+        let n = self.machines.len();
+        let s = if n == 1 { 0 } else { shard_of(task.0, n) };
+        self.machines[s].return_result(task, copy)
+    }
+
+    /// The workload's totals plus the field-wise sum of the machines'
+    /// counters.  The machines' ownership totals tile the workload, so
+    /// this equals summing the per-shard cells, without counting them.
+    fn stats(&self) -> ServeStats {
+        let mut total = ServeStats {
+            total_tasks: self.workload.total_tasks(),
+            total_copies: self.workload.total_copies(),
+            ..ServeStats::default()
+        };
+        for machine in &self.machines {
+            let cell = machine.counters();
+            total.activated_tasks += cell.activated_tasks;
+            total.completed_tasks += cell.completed_tasks;
+            total.issued += cell.issued;
+            total.returned += cell.returned;
+            total.in_flight += cell.in_flight;
+            total.requeued += cell.requeued;
+            total.lost += cell.lost;
+            total.timeouts += cell.timeouts;
+            total.retries += cell.retries;
+            total.cheats_attempted += cell.cheats_attempted;
+            total.cheats_detected += cell.cheats_detected;
+            total.wrong_accepted += cell.wrong_accepted;
+            total.false_flags += cell.false_flags;
+            total.unresolved_tasks += cell.unresolved_tasks;
+        }
+        total
+    }
+
+    /// The machines' partial outcomes folded together — bit-identical to
+    /// the batch kernel's once a single-stream session is drained.
+    fn merged_outcome(&self) -> CampaignOutcome {
+        let (first, rest) = self
+            .machines
+            .split_first()
+            .expect("a store has at least one machine");
+        let mut out = first.outcome().clone();
+        for machine in rest {
+            out.merge(machine.outcome());
+        }
+        out
+    }
+
+    fn final_rngs(&self) -> Vec<DeterministicRng> {
+        self.machines.iter().map(|m| m.rng().clone()).collect()
+    }
+
+    fn is_drained(&self) -> bool {
+        self.machines.iter().all(ShardStore::is_drained)
+    }
+
+    /// A plain sum over the machines.
+    fn expiry_counters(&self) -> (u64, u64) {
+        self.machines.iter().fold((0, 0), |(t, l), m| {
+            let (timeouts, lost) = m.expiry_counters();
+            (t + timeouts, l + lost)
+        })
+    }
+
+    /// Machine 0 first, then machine 1, and so on.  No timeout or retry
+    /// is charged: the copies didn't expire, their clients died with a
+    /// crashed session.  Both `issued` and the in-flight count are rolled
+    /// back so re-issuing the re-queued copies lands the drained session
+    /// in exactly the counters an uninterrupted drain reaches
+    /// (conservation: `issued = returned + timeouts + in-flight` holds
+    /// before and after).
+    fn reset_in_flight(&mut self) -> u64 {
+        self.machines
+            .iter_mut()
+            .map(ShardStore::reset_in_flight)
+            .sum()
     }
 }
 
 /// Drain one session to completion, returning each copy as soon as it is
 /// issued — the canonical single-client session the `ext_serve` oracle
-/// compares against the batch kernel.  The merged outcome is folded into
-/// `outcome`; the final [`ServeStats`] snapshot is returned.
+/// compares against the batch kernel.  The store draws from (a copy of)
+/// `rng`, whose final state is handed back; the merged outcome is folded
+/// into `outcome`; the final [`ServeStats`] snapshot is returned.
 pub fn drain_session(
     tasks: &[TaskSpec],
     config: &CampaignConfig,
@@ -426,19 +642,17 @@ pub fn drain_session(
     rng: &mut DeterministicRng,
     outcome: &mut CampaignOutcome,
 ) -> ServeStats {
-    let mut store = AssignmentStore::new(tasks, config, serve).expect("invalid serve session");
-    loop {
-        match store.request_work(rng) {
-            Issue::Work(a) => {
-                store
-                    .return_result(a.task, a.copy)
-                    .expect("drain returned an issued copy");
-            }
-            Issue::Idle => unreachable!("immediate returns leave nothing in flight"),
-            Issue::Drained => break,
-        }
-    }
+    let mut store = Store::on_streams(
+        &grouped_specs(tasks).collect::<Vec<_>>(),
+        config,
+        serve,
+        StreamMode::Single,
+        vec![rng.clone()],
+    )
+    .expect("invalid serve session");
+    store.drain();
     outcome.merge(&store.merged_outcome());
+    *rng = store.machines[0].rng().clone();
     store.stats()
 }
 
@@ -491,6 +705,8 @@ mod tests {
     use crate::experiment::detection_experiment_with;
     use crate::supervisor::VerificationPolicy;
 
+    const MODES: [StreamMode; 2] = [StreamMode::Single, StreamMode::PerShard];
+
     fn campaign() -> CampaignConfig {
         CampaignConfig::new(
             AdversaryModel::AssignmentFraction { p: 0.2 },
@@ -500,6 +716,17 @@ mod tests {
 
     fn specs(n: u64) -> Vec<TaskSpec> {
         expand_plan(&RealizedPlan::balanced(n, 0.5).unwrap())
+    }
+
+    /// A timeout no drain can trip.
+    fn patient(shards: usize) -> ServeConfig {
+        ServeConfig {
+            faults: FaultModel {
+                timeout: 1_000_000_000,
+                ..FaultModel::none()
+            },
+            ..ServeConfig::new(shards)
+        }
     }
 
     #[test]
@@ -563,7 +790,6 @@ mod tests {
     fn out_of_order_returns_reach_the_same_outcome() {
         let tasks = specs(300);
         let mut batch_rng = DeterministicRng::new(7);
-        let mut serve_rng = batch_rng.clone();
         let mut batch_out = CampaignOutcome::default();
         let mut scratch = CampaignScratch::new();
         run_campaign_with_scratch(
@@ -583,10 +809,10 @@ mod tests {
             },
             ..ServeConfig::new(2)
         };
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &serve).unwrap();
+        let mut store = Store::new(&tasks, &campaign(), &serve, 7, StreamMode::Single).unwrap();
         let mut held: Vec<Assignment> = Vec::new();
         loop {
-            match store.request_work(&mut serve_rng) {
+            match store.request_work() {
                 Issue::Work(a) => {
                     held.push(a);
                     if held.len() == 64 {
@@ -611,113 +837,102 @@ mod tests {
         store.check_invariants();
         assert_drain_equivalent(
             &DrainState::batch(batch_out, batch_rng),
-            &DrainState::batch(store.merged_outcome(), serve_rng),
+            &DrainState::of(&store),
         );
     }
 
     #[test]
     fn reset_in_flight_requeues_and_recovered_drain_matches_uninterrupted() {
         let tasks = specs(400);
-        let serve = ServeConfig {
-            faults: FaultModel {
-                timeout: 1_000_000,
-                ..FaultModel::none()
-            },
-            ..ServeConfig::new(3)
-        };
-        // Reference: one uninterrupted drain.
-        let mut ref_rng = DeterministicRng::new(23);
-        let mut ref_out = CampaignOutcome::default();
-        let ref_stats = drain_session(&tasks, &campaign(), &serve, &mut ref_rng, &mut ref_out);
+        for (mode, shards) in [
+            (StreamMode::Single, 3),
+            (StreamMode::PerShard, 1),
+            (StreamMode::PerShard, 3),
+        ] {
+            let serve = patient(shards);
+            // Reference: one uninterrupted drain.
+            let mut reference = Store::new(&tasks, &campaign(), &serve, 23, mode).unwrap();
+            reference.drain();
 
-        // Crash scenario: issue a prefix, return a third of it, then lose
-        // the clients — reset and drain the rest.
-        let mut rng = DeterministicRng::new(23);
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &serve).unwrap();
-        let mut outstanding = Vec::new();
-        for i in 0..300 {
-            let Issue::Work(a) = store.request_work(&mut rng) else {
-                panic!("store drained too early");
-            };
-            if i % 3 == 0 {
-                store.return_result(a.task, a.copy).unwrap();
-            } else {
-                outstanding.push(a);
-            }
-        }
-        let before = store.stats();
-        let reverted = store.reset_in_flight();
-        assert_eq!(reverted, outstanding.len() as u64);
-        store.check_invariants();
-        let after = store.stats();
-        assert_eq!(after.in_flight, 0);
-        assert_eq!(after.requeued, before.requeued + reverted);
-        assert_eq!(after.issued, before.issued - reverted);
-        // Stale returns of reverted copies are rejected, not double-counted.
-        let a = outstanding[0];
-        assert_eq!(
-            store.return_result(a.task, a.copy),
-            Err(ServeError::NotInFlight {
-                task: a.task,
-                copy: a.copy
-            })
-        );
-        // Finish the drain; the endpoint must match the uninterrupted run.
-        loop {
-            match store.request_work(&mut rng) {
-                Issue::Work(a) => {
+            // Crash scenario: issue a prefix, return a third of it, then
+            // lose the clients — reset and drain the rest.
+            let mut store = Store::new(&tasks, &campaign(), &serve, 23, mode).unwrap();
+            let mut outstanding = Vec::new();
+            for i in 0..300 {
+                let Issue::Work(a) = store.request_work() else {
+                    panic!("store drained too early");
+                };
+                if i % 3 == 0 {
                     store.return_result(a.task, a.copy).unwrap();
+                } else {
+                    outstanding.push(a);
                 }
-                Issue::Idle => unreachable!("immediate returns leave nothing in flight"),
-                Issue::Drained => break,
             }
+            let before = store.stats();
+            let reverted = store.reset_in_flight();
+            assert_eq!(reverted, outstanding.len() as u64, "{mode}");
+            store.check_invariants();
+            let after = store.stats();
+            assert_eq!(after.in_flight, 0);
+            assert_eq!(after.requeued, before.requeued + reverted);
+            assert_eq!(after.issued, before.issued - reverted);
+            // Stale returns of reverted copies are rejected, not
+            // double-counted.
+            let a = outstanding[0];
+            assert_eq!(
+                store.return_result(a.task, a.copy),
+                Err(ServeError::NotInFlight {
+                    task: a.task,
+                    copy: a.copy
+                })
+            );
+            // Finish the drain; the endpoint must match the uninterrupted
+            // run.
+            store.drain();
+            store.check_invariants();
+            assert_drain_equivalent(&DrainState::of(&reference), &DrainState::of(&store));
         }
-        store.check_invariants();
-        let mut recovered = DrainState::batch(store.merged_outcome(), rng);
-        recovered.stats = Some(store.stats());
-        let mut reference = DrainState::batch(ref_out, ref_rng);
-        reference.stats = Some(ref_stats);
-        assert_drain_equivalent(&reference, &recovered);
     }
 
     #[test]
     fn returns_are_validated() {
         let tasks = specs(100);
-        let mut rng = DeterministicRng::new(1);
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &ServeConfig::new(2)).unwrap();
-        // Nothing issued yet: everything is rejected.
-        assert_eq!(
-            store.return_result(TaskId(0), 0),
-            Err(ServeError::NotInFlight {
-                task: TaskId(0),
-                copy: 0
-            })
-        );
-        assert_eq!(
-            store.return_result(TaskId(999_999), 0),
-            Err(ServeError::UnknownTask(TaskId(999_999)))
-        );
-        let Issue::Work(a) = store.request_work(&mut rng) else {
-            panic!("fresh store must have work");
-        };
-        assert_eq!(
-            store.return_result(a.task, a.multiplicity),
-            Err(ServeError::CopyOutOfRange {
-                task: a.task,
-                copy: a.multiplicity,
-                multiplicity: a.multiplicity
-            })
-        );
-        assert!(store.return_result(a.task, a.copy).is_ok());
-        // Double return is stale.
-        assert_eq!(
-            store.return_result(a.task, a.copy),
-            Err(ServeError::NotInFlight {
-                task: a.task,
-                copy: a.copy
-            })
-        );
-        store.check_invariants();
+        for mode in MODES {
+            let mut store = Store::new(&tasks, &campaign(), &patient(2), 1, mode).unwrap();
+            // Nothing issued yet: everything is rejected.
+            assert_eq!(
+                store.return_result(TaskId(0), 0),
+                Err(ServeError::NotInFlight {
+                    task: TaskId(0),
+                    copy: 0
+                })
+            );
+            assert_eq!(
+                store.return_result(TaskId(999_999), 0),
+                Err(ServeError::UnknownTask(TaskId(999_999)))
+            );
+            let Issue::Work(a) = store.request_work() else {
+                panic!("fresh store must have work");
+            };
+            assert_eq!(
+                store.return_result(a.task, a.multiplicity),
+                Err(ServeError::CopyOutOfRange {
+                    task: a.task,
+                    copy: a.multiplicity,
+                    multiplicity: a.multiplicity
+                })
+            );
+            assert!(store.return_result(a.task, a.copy).is_ok());
+            // Double return is stale.
+            assert_eq!(
+                store.return_result(a.task, a.copy),
+                Err(ServeError::NotInFlight {
+                    task: a.task,
+                    copy: a.copy
+                })
+            );
+            store.check_invariants();
+        }
     }
 
     #[test]
@@ -731,34 +946,36 @@ mod tests {
             },
             ..ServeConfig::new(3)
         };
-        let mut rng = DeterministicRng::new(5);
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &serve).unwrap();
-        // Never return anything: every copy must time out, retry once, and
-        // eventually be abandoned; the store still drains (all tasks judged
-        // as unresolved) with every copy accounted for.
-        let mut guard = 0u64;
-        loop {
-            match store.request_work(&mut rng) {
-                Issue::Drained => break,
-                _ => {
-                    guard += 1;
-                    assert!(guard < 1_000_000, "drain did not terminate");
+        for mode in MODES {
+            let mut store = Store::new(&tasks, &campaign(), &serve, 5, mode).unwrap();
+            // Never return anything: every copy must time out, retry once,
+            // and eventually be abandoned; the store still drains (all
+            // tasks judged as unresolved) with every copy accounted for.
+            let mut guard = 0u64;
+            loop {
+                match store.request_work() {
+                    Issue::Drained => break,
+                    _ => {
+                        guard += 1;
+                        assert!(guard < 1_000_000, "drain did not terminate");
+                    }
                 }
             }
+            store.check_invariants();
+            let stats = store.stats();
+            assert_eq!(stats.completed_tasks, stats.total_tasks);
+            assert_eq!(stats.lost, stats.total_copies);
+            assert_eq!(stats.returned, 0);
+            assert_eq!(stats.unresolved_tasks, stats.total_tasks);
+            // Each copy: first issue + exactly one retry.
+            assert_eq!(stats.issued, 2 * stats.total_copies);
+            assert_eq!(stats.retries, stats.total_copies);
+            assert_eq!(stats.timeouts, 2 * stats.total_copies);
+            assert_eq!(store.expiry_counters(), (stats.timeouts, stats.lost));
+            let out = store.merged_outcome();
+            assert_eq!(out.unresolved_tasks, stats.total_tasks);
+            assert_eq!(out.lost_assignments, stats.total_copies);
         }
-        store.check_invariants();
-        let stats = store.stats();
-        assert_eq!(stats.completed_tasks, stats.total_tasks);
-        assert_eq!(stats.lost, stats.total_copies);
-        assert_eq!(stats.returned, 0);
-        assert_eq!(stats.unresolved_tasks, stats.total_tasks);
-        // Each copy: first issue + exactly one retry.
-        assert_eq!(stats.issued, 2 * stats.total_copies);
-        assert_eq!(stats.retries, stats.total_copies);
-        assert_eq!(stats.timeouts, 2 * stats.total_copies);
-        let out = store.merged_outcome();
-        assert_eq!(out.unresolved_tasks, stats.total_tasks);
-        assert_eq!(out.lost_assignments, stats.total_copies);
     }
 
     #[test]
@@ -772,14 +989,13 @@ mod tests {
             },
             ..ServeConfig::new(1)
         };
-        let mut rng = DeterministicRng::new(9);
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &serve).unwrap();
-        let Issue::Work(first) = store.request_work(&mut rng) else {
+        let mut store = Store::new(&tasks, &campaign(), &serve, 9, StreamMode::Single).unwrap();
+        let Issue::Work(first) = store.request_work() else {
             panic!("fresh store must have work");
         };
         // The next request pushes the clock to the deadline; with no retry
         // budget the copy is abandoned, so its late return is stale.
-        let _ = store.request_work(&mut rng);
+        let _ = store.request_work();
         assert_eq!(
             store.return_result(first.task, first.copy),
             Err(ServeError::NotInFlight {
@@ -805,13 +1021,12 @@ mod tests {
             },
             ..ServeConfig::new(2)
         };
-        let mut rng = DeterministicRng::new(17);
-        let mut store = AssignmentStore::new(&tasks, &campaign(), &serve).unwrap();
+        let mut store = Store::new(&tasks, &campaign(), &serve, 17, StreamMode::Single).unwrap();
         let mut dropped = 0u64;
         let mut n = 0u64;
         let mut guard = 0u64;
         loop {
-            match store.request_work(&mut rng) {
+            match store.request_work() {
                 Issue::Work(a) => {
                     n += 1;
                     if n.is_multiple_of(3) {
@@ -869,17 +1084,18 @@ mod tests {
 
     #[test]
     fn empty_workload_drains_immediately() {
-        let mut rng = DeterministicRng::new(1);
-        let mut store = AssignmentStore::new(&[], &campaign(), &ServeConfig::new(4)).unwrap();
-        assert!(store.is_drained());
-        assert_eq!(store.request_work(&mut rng), Issue::Drained);
-        assert_eq!(store.merged_outcome().campaigns, 1);
+        for mode in MODES {
+            let mut store = Store::new(&[], &campaign(), &ServeConfig::new(4), 1, mode).unwrap();
+            assert!(store.is_drained());
+            assert_eq!(store.request_work(), Issue::Drained);
+            assert_eq!(store.merged_outcome().campaigns, 1);
+            assert_eq!(store.stats().total_tasks, 0);
+        }
     }
 
     #[test]
     fn invalid_configurations_are_rejected() {
         let tasks = specs(10);
-        assert!(AssignmentStore::new(&tasks, &campaign(), &ServeConfig::new(0)).is_err());
         let bad_faults = ServeConfig {
             faults: FaultModel {
                 timeout: 0,
@@ -887,7 +1103,6 @@ mod tests {
             },
             ..ServeConfig::new(1)
         };
-        assert!(AssignmentStore::new(&tasks, &campaign(), &bad_faults).is_err());
         // Discontiguous ids are refused up front.
         let gap = [
             TaskSpec {
@@ -901,6 +1116,13 @@ mod tests {
                 precomputed: false,
             },
         ];
-        assert!(AssignmentStore::new(&gap, &campaign(), &ServeConfig::new(1)).is_err());
+        for mode in MODES {
+            let store = |tasks: &[TaskSpec], serve: &ServeConfig| {
+                Store::new(tasks, &campaign(), serve, 1, mode)
+            };
+            assert!(store(&tasks, &ServeConfig::new(0)).is_err());
+            assert!(store(&tasks, &bad_faults).is_err());
+            assert!(store(&gap, &ServeConfig::new(1)).is_err());
+        }
     }
 }

@@ -5,16 +5,16 @@
 //! tokenizing at all.  The reference below is the `split_whitespace` +
 //! `str::parse` + `write!` implementation it replaced, kept here as the
 //! grammar's executable definition.  Both answer the same request lines
-//! against twin stores — the single-stream session, and the per-shard
-//! store owned (exclusive access) against its twin behind `&` (the shard
-//! locks) — and must agree on every reply byte, every shutdown flag and
-//! every stats snapshot along the way.
+//! against twin stores — an owned single-stream store against its
+//! [`ServeSession`] twin, and an owned per-shard store against its
+//! [`ConcurrentStore`] twin behind `&` (the lock) — and must agree on every
+//! reply byte, every shutdown flag and every stats snapshot along the way.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use redundancy_core::RealizedPlan;
 use redundancy_sim::serve::{
-    handle_request, Issue, ServeConfig, ServeSession, WorkStore, MAX_FRAME,
+    handle_request, Issue, ServeConfig, ServeSession, Store, StreamMode, WorkStore, MAX_FRAME,
 };
 use redundancy_sim::task::expand_plan;
 use redundancy_sim::{AdversaryModel, CampaignConfig, CheatStrategy, ConcurrentStore, TaskId};
@@ -159,9 +159,11 @@ proptest! {
     ) {
         let specs = expand_plan(&RealizedPlan::balanced(tasks, 0.5).unwrap());
         let serve = ServeConfig::new(2);
-        let mut single = ServeSession::new(&specs, &campaign(), &serve, seed).unwrap();
+        let mut single =
+            Store::new(&specs, &campaign(), &serve, seed, StreamMode::Single).unwrap();
         let mut single_ref = ServeSession::new(&specs, &campaign(), &serve, seed).unwrap();
-        let mut sharded = ConcurrentStore::new(&specs, &campaign(), &serve, seed).unwrap();
+        let mut sharded =
+            Store::new(&specs, &campaign(), &serve, seed, StreamMode::PerShard).unwrap();
         let sharded_ref = ConcurrentStore::new(&specs, &campaign(), &serve, seed).unwrap();
         let (mut got, mut want) = (String::new(), String::new());
         for draw in draws.chunks(14) {
@@ -177,7 +179,7 @@ proptest! {
             prop_assert_eq!(single.stats(), single_ref.stats());
             prop_assert_eq!(sharded.stats(), sharded_ref.stats());
         }
-        single.store.check_invariants();
+        single.check_invariants();
         sharded.check_invariants();
     }
 }
@@ -229,9 +231,9 @@ fn codec_matches_the_reference_on_pinned_corner_cases() {
 fn the_fast_path_boundary_matches_the_reference() {
     let specs = expand_plan(&RealizedPlan::balanced(8, 0.5).unwrap());
     let serve = ServeConfig::new(2);
-    let mut single = ServeSession::new(&specs, &campaign(), &serve, 3).unwrap();
+    let mut single = Store::new(&specs, &campaign(), &serve, 3, StreamMode::Single).unwrap();
     let mut single_ref = ServeSession::new(&specs, &campaign(), &serve, 3).unwrap();
-    let mut sharded = ConcurrentStore::new(&specs, &campaign(), &serve, 3).unwrap();
+    let mut sharded = Store::new(&specs, &campaign(), &serve, 3, StreamMode::PerShard).unwrap();
     let sharded_ref = ConcurrentStore::new(&specs, &campaign(), &serve, 3).unwrap();
     let taken = [
         "request-work",

@@ -11,11 +11,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use redundancy_core::RealizedPlan;
 use redundancy_sim::experiment::detection_experiment_with;
-use redundancy_sim::serve::{Assignment, Issue, ReturnAck, ServeConfig, ServeError};
+use redundancy_sim::serve::{
+    Assignment, Issue, ReturnAck, ServeConfig, ServeError, Store, StreamMode, WorkStore,
+};
 use redundancy_sim::{
-    drain_session, run_campaign_with_scratch, serve_experiment, AdversaryModel, AssignmentStore,
-    CampaignConfig, CampaignOutcome, CampaignScratch, CheatStrategy, ConcurrentStore,
-    ExperimentConfig, FaultModel, TaskId,
+    drain_session, run_campaign_with_scratch, serve_experiment, AdversaryModel, CampaignConfig,
+    CampaignOutcome, CampaignScratch, CheatStrategy, ExperimentConfig, FaultModel, TaskId,
 };
 use redundancy_stats::DeterministicRng;
 use std::collections::HashMap;
@@ -152,8 +153,8 @@ proptest! {
 
         // Shuffled: buffer assignments and return them in an arbitrary
         // drawn order, interleaved with further requests.
-        let mut rng = DeterministicRng::new(seed);
-        let mut store = AssignmentStore::new(&specs, &config, &patient(3)).unwrap();
+        let mut store =
+            Store::new(&specs, &config, &patient(3), seed, StreamMode::Single).unwrap();
         let mut held: Vec<Assignment> = Vec::new();
         let mut step = 0usize;
         loop {
@@ -166,7 +167,7 @@ proptest! {
                 store.return_result(a.task, a.copy).unwrap();
                 continue;
             }
-            match store.request_work(&mut rng) {
+            match store.request_work() {
                 Issue::Work(a) => held.push(a),
                 Issue::Idle => {
                     let a = held.swap_remove(d % held.len());
@@ -179,7 +180,7 @@ proptest! {
         prop_assert!(store.is_drained());
         prop_assert_eq!(&store.merged_outcome(), &seq_out);
         prop_assert_eq!(store.stats(), seq_stats);
-        prop_assert_eq!(&rng, &seq_rng);
+        prop_assert_eq!(store.final_rngs(), vec![seq_rng]);
     }
 
     /// Conservation of multiplicity: with an aggressive timeout and clients
@@ -206,13 +207,12 @@ proptest! {
             },
             ..ServeConfig::new(3)
         };
-        let mut rng = DeterministicRng::new(seed);
-        let mut store = AssignmentStore::new(&specs, &config, &serve).unwrap();
+        let mut store = Store::new(&specs, &config, &serve, seed, StreamMode::Single).unwrap();
         let mut dispatched = 0u64;
         let mut returned = 0u64;
         let mut guard = 0u64;
         loop {
-            match store.request_work(&mut rng) {
+            match store.request_work() {
                 Issue::Work(a) => {
                     if drops[(dispatched % drops.len() as u64) as usize] == 1 {
                         // Dropped on the floor: only a timeout can recover it.
@@ -245,8 +245,8 @@ proptest! {
         prop_assert_eq!(out.lost_assignments, stats.lost);
     }
 
-    /// Per-shard streams: any request/return interleaving against the
-    /// [`ConcurrentStore`] reaches the same drained state as the
+    /// Per-shard streams: any request/return interleaving against a
+    /// per-shard [`Store`] reaches the same drained state as the
     /// shard-by-shard oracle drain — same merged outcome, same per-shard
     /// final RNG states, same stats — at 1, 2, and 4 shards.  This is the
     /// determinism contract that makes concurrent clients safe: the
@@ -264,12 +264,14 @@ proptest! {
         let specs = redundancy_sim::task::expand_plan(&plan);
         for shards in [1usize, 2, 4] {
             // Reference: a fresh store drained one whole shard at a time.
-            let oracle = ConcurrentStore::new(&specs, &config, &patient(shards), seed).unwrap();
+            let per_shard =
+                || Store::new(&specs, &config, &patient(shards), seed, StreamMode::PerShard);
+            let mut oracle = per_shard().unwrap();
             oracle.drain_shard_by_shard();
 
             // Shuffled: buffer assignments and return them in an arbitrary
             // drawn order, interleaved with further requests.
-            let store = ConcurrentStore::new(&specs, &config, &patient(shards), seed).unwrap();
+            let mut store = per_shard().unwrap();
             let mut held: Vec<Assignment> = Vec::new();
             let mut step = 0usize;
             loop {
@@ -320,11 +322,11 @@ proptest! {
         let specs = redundancy_sim::task::expand_plan(&plan);
         let bound = |in_flight: u64, shards: usize| 2 * in_flight as usize + 64 * shards;
 
-        let oracle = ConcurrentStore::new(&specs, &config, &patient(2), seed).unwrap();
+        let store_of = |mode| Store::new(&specs, &config, &patient(2), seed, mode);
+        let mut oracle = store_of(StreamMode::PerShard).unwrap();
         oracle.drain_shard_by_shard();
-        let store = ConcurrentStore::new(&specs, &config, &patient(2), seed).unwrap();
-        let mut single_rng = DeterministicRng::new(seed);
-        let mut single = AssignmentStore::new(&specs, &config, &patient(2)).unwrap();
+        let mut store = store_of(StreamMode::PerShard).unwrap();
+        let mut single = store_of(StreamMode::Single).unwrap();
         let (mut held, mut single_held) = (Vec::new(), Vec::new());
         let (mut pins, mut single_pins) = (Vec::new(), Vec::new());
         let (mut sharded_done, mut single_done) = (false, false);
@@ -352,7 +354,7 @@ proptest! {
                 }
             }
             if !single_done {
-                match single.request_work(&mut single_rng) {
+                match single.request_work() {
                     Issue::Work(a) if single_pins.len() < pinned => single_pins.push(a),
                     Issue::Work(a) => single_held.push(a),
                     Issue::Idle => {
@@ -388,7 +390,7 @@ proptest! {
         let mut scratch = CampaignScratch::new();
         run_campaign_with_scratch(&specs, &config, &mut batch_rng, &mut batch_out, &mut scratch);
         prop_assert_eq!(&single.merged_outcome(), &batch_out);
-        prop_assert_eq!(&single_rng, &batch_rng);
+        prop_assert_eq!(single.final_rngs(), vec![batch_rng]);
     }
 
     /// Conservation of multiplicity per shard: the sharded store under an
@@ -416,7 +418,7 @@ proptest! {
             },
             ..ServeConfig::new(3)
         };
-        let store = ConcurrentStore::new(&specs, &config, &serve, seed).unwrap();
+        let mut store = Store::new(&specs, &config, &serve, seed, StreamMode::PerShard).unwrap();
         let mut dispatched = 0u64;
         let mut returned = 0u64;
         let mut guard = 0u64;
@@ -482,7 +484,7 @@ proptest! {
     ) {
         use redundancy_sim::serve::{
             replay_with, workload_fingerprint, JournalWriter, JournaledStore, Record,
-            ReplayOptions, SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy, WorkStore,
+            ReplayOptions, SessionHeader, SharedBuf, SyncPolicy,
         };
         let (plan, config) = campaign_shape(tasks, eps_pct, p_pct, 1, false, 0);
         let specs = redundancy_sim::task::expand_plan(&plan);
@@ -505,7 +507,7 @@ proptest! {
             fingerprint: workload_fingerprint(&specs, &config),
             total_tasks: specs.len() as u64,
         })).unwrap();
-        let store = StoreEnum::new(&specs, &config, &serve, seed, mode).unwrap();
+        let store = Store::new(&specs, &config, &serve, seed, mode).unwrap();
         let mut live = JournaledStore::new(store, Some(writer));
         let mut held: Vec<(redundancy_sim::TaskId, u32)> = Vec::new();
         let mut guard = 0u64;
@@ -646,7 +648,7 @@ proptest! {
     ) {
         use redundancy_sim::serve::{
             workload_fingerprint, workload_fingerprint_groups, JournalWriter, JournaledStore,
-            Record, SessionHeader, SharedBuf, StoreEnum, StreamMode, SyncPolicy, WorkStore,
+            Record, SessionHeader, SharedBuf, SyncPolicy,
         };
         use redundancy_sim::task::plan_groups;
         let (plan, config) = campaign_shape(tasks, eps_pct, p_pct, strategy_ix, false, 0);
@@ -658,7 +660,7 @@ proptest! {
                     faults: FaultModel { timeout, ..FaultModel::none() },
                     ..ServeConfig::new(shards)
                 };
-                let journaled = |store: StoreEnum, fingerprint: u64, total_tasks: u64| {
+                let journaled = |store: Store, fingerprint: u64, total_tasks: u64| {
                     let buf = SharedBuf::new();
                     let mut writer = JournalWriter::new(buf.clone(), SyncPolicy::Off);
                     writer.append(&Record::Header(SessionHeader {
@@ -674,7 +676,7 @@ proptest! {
                 };
                 let from_groups = || {
                     journaled(
-                        StoreEnum::from_groups(&groups, &config, &serve, seed, mode).unwrap(),
+                        Store::from_groups(&groups, &config, &serve, seed, mode).unwrap(),
                         workload_fingerprint_groups(&groups, &config),
                         groups.iter().map(|g| g.count).sum(),
                     )
@@ -685,21 +687,21 @@ proptest! {
                 let (mut fresh, fresh_buf) = from_groups();
                 let (mut late, late_buf) = from_groups();
                 let (mut wrapped, wrapped_buf) = journaled(
-                    StoreEnum::new(&specs, &config, &serve, seed, mode).unwrap(),
+                    Store::new(&specs, &config, &serve, seed, mode).unwrap(),
                     workload_fingerprint(&specs, &config),
                     specs.len() as u64,
                 );
                 let owned = brute_force_ownership(&specs, shards);
-                let cells = |store: &JournaledStore<StoreEnum>| -> Option<Vec<(u64, u64)>> {
-                    store.store().as_concurrent().map(|c| {
-                        c.per_shard_stats()
-                            .iter()
-                            .map(|s| (s.total_tasks, s.total_copies))
-                            .collect()
-                    })
+                let cells = |store: &JournaledStore<Store>| -> Vec<(u64, u64)> {
+                    store
+                        .store()
+                        .per_shard_stats()
+                        .iter()
+                        .map(|s| (s.total_tasks, s.total_copies))
+                        .collect()
                 };
                 if mode == StreamMode::PerShard {
-                    prop_assert_eq!(cells(&fresh).unwrap(), owned.clone(), "fresh");
+                    prop_assert_eq!(cells(&fresh), owned.clone(), "fresh");
                 }
                 let mut schedules: [Schedule; 3] = Default::default();
                 let mut drained = [false; 3];
@@ -708,7 +710,7 @@ proptest! {
                 }
                 prop_assert!(drained[0] == drained[1] && drained[1] == drained[2]);
                 if mode == StreamMode::PerShard {
-                    prop_assert_eq!(cells(&wrapped).unwrap(), owned.clone(), "mid-drain");
+                    prop_assert_eq!(cells(&wrapped), owned.clone(), "mid-drain");
                 }
                 for (i, store) in [&mut fresh, &mut wrapped, &mut late].into_iter().enumerate() {
                     let mut guard = 0;
@@ -719,11 +721,11 @@ proptest! {
                     }
                 }
                 if mode == StreamMode::PerShard {
-                    prop_assert_eq!(cells(&late).unwrap(), owned.clone(), "drained");
-                    prop_assert_eq!(cells(&fresh).unwrap(), owned.clone());
-                    prop_assert_eq!(cells(&wrapped).unwrap(), owned.clone());
+                    prop_assert_eq!(cells(&late), owned.clone(), "drained");
+                    prop_assert_eq!(cells(&fresh), owned.clone());
+                    prop_assert_eq!(cells(&wrapped), owned.clone());
                 }
-                let render = |s: &JournaledStore<StoreEnum>| s.stats().render();
+                let render = |s: &JournaledStore<Store>| s.stats().render();
                 prop_assert_eq!(render(&fresh), render(&wrapped));
                 prop_assert_eq!(render(&late), render(&wrapped));
                 prop_assert_eq!(fresh.merged_outcome(), wrapped.merged_outcome());
@@ -738,42 +740,6 @@ proptest! {
                 prop_assert!(fresh_buf.snapshot() == journal, "{:?} x{}", mode, shards);
                 prop_assert!(late_buf.snapshot() == journal, "{:?} x{}", mode, shards);
             }
-        }
-    }
-}
-
-/// Either store flavor behind the calls the return model drives.
-enum Subject {
-    Single(Box<AssignmentStore>, DeterministicRng),
-    Sharded(ConcurrentStore),
-}
-
-impl Subject {
-    fn request_work(&mut self) -> Issue {
-        match self {
-            Subject::Single(store, rng) => store.request_work(rng),
-            Subject::Sharded(store) => store.request_work(),
-        }
-    }
-
-    fn return_result(&mut self, task: TaskId, copy: u32) -> Result<ReturnAck, ServeError> {
-        match self {
-            Subject::Single(store, _) => store.return_result(task, copy),
-            Subject::Sharded(store) => store.return_result(task, copy),
-        }
-    }
-
-    fn check_invariants(&self) {
-        match self {
-            Subject::Single(store, _) => store.check_invariants(),
-            Subject::Sharded(store) => store.check_invariants(),
-        }
-    }
-
-    fn stats(&self) -> redundancy_sim::ServeStats {
-        match self {
-            Subject::Single(store, _) => store.stats(),
-            Subject::Sharded(store) => store.stats(),
         }
     }
 }
@@ -829,7 +795,7 @@ impl ReturnModel {
     /// an accepted return.
     fn send(
         &mut self,
-        store: &mut Subject,
+        store: &mut Store,
         task: TaskId,
         copy: u32,
         total: u64,
@@ -868,7 +834,7 @@ proptest! {
     /// workload.  Random schedules hold a few early copies for a drawn
     /// stretch, return the rest in a drawn order, resend returned copies,
     /// send copies equal to the multiplicity and `u32::MAX`, and send ids
-    /// never issued and past the workload; both store flavors, 1 to 4
+    /// never issued and past the workload; both stream modes, 1 to 4
     /// shards, with and without honest errors, invariants checked as they
     /// go.
     #[test]
@@ -887,13 +853,9 @@ proptest! {
         let specs = redundancy_sim::task::expand_plan(&plan);
         let total = specs.len() as u64;
         let subjects = (0..=4).map(|shards| match shards {
-            0 => Subject::Single(
-                Box::new(AssignmentStore::new(&specs, &config, &patient(1)).unwrap()),
-                DeterministicRng::new(seed),
-            ),
-            _ => Subject::Sharded(
-                ConcurrentStore::new(&specs, &config, &patient(shards), seed).unwrap(),
-            ),
+            0 => Store::new(&specs, &config, &patient(1), seed, StreamMode::Single).unwrap(),
+            _ => Store::new(&specs, &config, &patient(shards), seed, StreamMode::PerShard)
+                .unwrap(),
         });
         for (shards, mut store) in subjects.enumerate() {
             let mut model = ReturnModel::default();

@@ -12,7 +12,8 @@
 use redundancy_core::RealizedPlan;
 use redundancy_integration::snapshot::cli_binary_path;
 use redundancy_sim::serve::{
-    decode_frames, script_frames, ServeConfig, ServeSession, SessionEnd, MAX_FRAME,
+    decode_frames, handle_request, script_frames, ServeConfig, SessionEnd, Store, StreamMode,
+    WorkStore, MAX_FRAME,
 };
 use redundancy_sim::task::expand_plan;
 use redundancy_sim::{serve_connection, AdversaryModel, CampaignConfig, CheatStrategy};
@@ -50,13 +51,20 @@ fn replies() -> Vec<&'static str> {
 
 /// The session `redundancy serve --scheme simple --tasks 3 --epsilon 0.5
 /// --proportion 0.2 --shards 2` builds (every other flag at its default).
-fn oracle_session() -> ServeSession {
+fn oracle_session() -> Store {
     let tasks = expand_plan(&RealizedPlan::k_fold(3, 2, 0.5).unwrap());
     let campaign = CampaignConfig::new(
         AdversaryModel::AssignmentFraction { p: 0.2 },
         CheatStrategy::AtLeast { min_copies: 1 },
     );
-    ServeSession::new(&tasks, &campaign, &ServeConfig::new(2), 20_050_926).unwrap()
+    Store::new(
+        &tasks,
+        &campaign,
+        &ServeConfig::new(2),
+        20_050_926,
+        StreamMode::Single,
+    )
+    .unwrap()
 }
 
 /// Spawn `redundancy serve --stdio` on the oracle workload, feed it the
@@ -106,13 +114,16 @@ fn in_memory_scripted_fixture_is_byte_exact() {
     let mut session = oracle_session();
     let mut input: &[u8] = &script_frames(&requests())[..];
     let mut output = Vec::new();
-    let end = serve_connection(&mut input, &mut output, |req| session.handle(req)).unwrap();
+    let end = serve_connection(&mut input, &mut output, |req, reply| {
+        handle_request(&mut session, req, reply)
+    })
+    .unwrap();
     assert_eq!(end, SessionEnd::Shutdown);
     assert_eq!(decode_frames(&output), replies());
     // Not just the payloads: the response byte stream is exactly the
     // replies re-framed by the same encoder.
     assert_eq!(output, script_frames(&replies()));
-    assert!(session.store.is_drained());
+    assert!(session.is_drained());
 }
 
 #[test]
@@ -207,18 +218,15 @@ fn stdio_per_shard_streams_serve_the_same_protocol() {
 }
 
 /// `shutdown` must terminate a `--port` daemon process cleanly — no
-/// throwaway self-connection, no orphaned accept loop, a zero exit — on
-/// both io loops and both stream modes.
+/// throwaway self-connection, no orphaned accept loop, a zero exit — in
+/// both stream modes.  The TCP transports run on the epoll readiness loop,
+/// which exists on Linux only.
+#[cfg(target_os = "linux")]
 #[test]
 fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
     use redundancy_sim::serve::{read_frame, write_frame, Frame};
     use std::io::{BufRead as _, BufReader, Read as _};
-    let mut combos = vec![("threads", "single"), ("threads", "per-shard")];
-    if cfg!(target_os = "linux") {
-        combos.push(("epoll", "single"));
-        combos.push(("epoll", "per-shard"));
-    }
-    for (io, streams) in combos {
+    for streams in ["single", "per-shard"] {
         let path = cli_binary_path();
         assert!(path.exists(), "{} not built", path.display());
         let mut child = Command::new(&path)
@@ -236,8 +244,6 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
                 "7",
                 "--port",
                 "0",
-                "--io",
-                io,
                 "--streams",
                 streams,
             ])
@@ -258,14 +264,14 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
             .unwrap_or_else(|e| panic!("connecting to {addr}: {e}"));
         write_frame(&mut stream, "request-work").unwrap();
         let Frame::Message(reply) = read_frame(&mut stream).unwrap() else {
-            panic!("{io}/{streams}: no reply to request-work");
+            panic!("{streams}: no reply to request-work");
         };
-        assert!(reply.starts_with(b"work "), "{io}/{streams}: {reply:?}");
+        assert!(reply.starts_with(b"work "), "{streams}: {reply:?}");
         write_frame(&mut stream, "shutdown").unwrap();
         let Frame::Message(reply) = read_frame(&mut stream).unwrap() else {
-            panic!("{io}/{streams}: no reply to shutdown");
+            panic!("{streams}: no reply to shutdown");
         };
-        assert_eq!(reply, b"bye", "{io}/{streams}");
+        assert_eq!(reply, b"bye", "{streams}");
         drop(stream);
         // Watchdog: the daemon must exit on its own, promptly and cleanly.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
@@ -275,14 +281,11 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
             }
             if std::time::Instant::now() >= deadline {
                 let _ = child.kill();
-                panic!("{io}/{streams}: daemon still running 30s after shutdown");
+                panic!("{streams}: daemon still running 30s after shutdown");
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
-        assert!(
-            status.success(),
-            "{io}/{streams}: daemon exited with {status}"
-        );
+        assert!(status.success(), "{streams}: daemon exited with {status}");
         let mut out = String::new();
         child
             .stdout
@@ -290,8 +293,8 @@ fn port_daemon_shuts_down_cleanly_on_the_shutdown_verb() {
             .expect("stdout is piped")
             .read_to_string(&mut out)
             .unwrap();
-        assert!(out.contains("issued 1\n"), "{io}/{streams}: {out}");
-        assert!(out.contains("in-flight 1\n"), "{io}/{streams}: {out}");
+        assert!(out.contains("issued 1\n"), "{streams}: {out}");
+        assert!(out.contains("in-flight 1\n"), "{streams}: {out}");
     }
 }
 
