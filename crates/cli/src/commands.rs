@@ -513,8 +513,10 @@ any shard count (the batched-kernel oracle).  --streams per-shard gives
 each shard its own derived RNG stream; the drained outcome is then a pure
 function of (seed, shard count) — invariant to the client count and
 request interleaving — and is checked against a shard-by-shard drain (the
-sharded-stream oracle).  --json PATH (per-shard only) writes a
-serve-report/v1 document with session totals and per-shard stats cells.
+sharded-stream oracle).  Both oracles model a drain no timeout interrupts,
+so once a timeout fires the report says they do not apply.  --json PATH
+(per-shard only) writes a serve-report/v1 document with session totals
+and per-shard stats cells.
 
 --journal PATH appends every state-mutating event (issue, return, tick,
 timeout-requeue, shutdown) to a checksummed append-only log; --sync picks
@@ -523,7 +525,10 @@ or off).  After a crash, rerun the same command line with --recover: the
 journal's verified prefix is replayed to a bit-identical store (a torn
 trailing record is truncated away), surviving in-flight copies are
 re-queued, and the session resumes appending — a recovered-then-drained
-run prints the same stats and report as an uninterrupted one.  See
+run prints the same stats and report as an uninterrupted one.  A
+journaled run's report ends with the journal replay oracle, which holds
+under every schedule: the finished journal must replay to the live
+store.  The journal is flushed even when the transport fails.  See
 `redundancy help journal-inspect` for offline inspection.
 "
         .into(),
@@ -1102,20 +1107,30 @@ impl Backend {
         self.0.drain();
     }
 
-    /// Tear down into the run summary: final stats, drained state, the
-    /// store (per-shard sessions), and the journal summary.  A journal
-    /// append or flush failure surfaces here as an error — the session
-    /// itself finished, but its log cannot be trusted.
-    fn finish(self, journal_path: Option<&str>) -> Result<ServeRun, CliError> {
+    /// Tear down into the run summary once the transport has returned
+    /// `served`: final stats, drained state, the store (per-shard
+    /// sessions), and the journal summary.  The journal is flushed on every
+    /// path, so a transport that failed never throws its records away; the
+    /// transport's error is returned after the flush, naming the journal's
+    /// too when both failed.  A journal append or flush failure alone
+    /// surfaces as an error as well: the session itself finished, but its
+    /// log cannot be trusted.
+    fn finish(
+        self,
+        served: Result<(), String>,
+        journal_path: Option<&str>,
+    ) -> Result<ServeRun, CliError> {
         let js = self.0;
         let stats = js.stats();
         let state = DrainState::of(&js);
-        let (store, writer) = js.finish().map_err(|e| {
-            CliError::Io(format!(
-                "journal {}: {e}",
-                journal_path.unwrap_or("<unset>")
-            ))
-        })?;
+        let flushed = js
+            .finish()
+            .map_err(|e| format!("journal {}: {e}", journal_path.unwrap_or("<unset>")));
+        let (store, writer) = match (served, flushed) {
+            (Ok(()), Ok(parts)) => parts,
+            (Ok(()), Err(e)) | (Err(e), Ok(_)) => return Err(CliError::Io(e)),
+            (Err(e), Err(journal)) => return Err(CliError::Io(format!("{e}; {journal}"))),
+        };
         let journal = match (writer, journal_path) {
             (Some(w), Some(path)) => Some(JournalSummary {
                 path: path.to_string(),
@@ -1189,6 +1204,11 @@ fn serve_cmd(
                 .into(),
         ));
     }
+    if json.is_some() && stdio {
+        return Err(CliError::Invalid(
+            "--json is not available with --stdio (the protocol owns stdout)".into(),
+        ));
+    }
     // The plan's groups, never its expanded task list: start-up is
     // O(groups), and the store's task limit is checked before anything per
     // task is allocated.
@@ -1204,20 +1224,16 @@ fn serve_cmd(
         recover,
     )?;
     if stdio {
-        if json.is_some() {
-            return Err(CliError::Invalid(
-                "--json is not available with --stdio (the protocol owns stdout)".into(),
-            ));
-        }
         // The protocol owns stdout, so the report string stays empty.
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         let mut r = stdin.lock();
         let mut w = stdout.lock();
-        serve_connection(&mut r, &mut w, |req, reply| backend.handle_into(req, reply))
-            .map_err(|e| CliError::Io(format!("stdio transport: {e}")))?;
+        let served = serve_connection(&mut r, &mut w, |req, reply| backend.handle_into(req, reply))
+            .map(drop)
+            .map_err(|e| format!("stdio transport: {e}"));
         // A journal append failure still surfaces, even with no report.
-        backend.finish(journal.as_deref())?;
+        backend.finish(served, journal.as_deref())?;
         return Ok(String::new());
     }
     let mut out = String::new();
@@ -1232,9 +1248,9 @@ fn serve_cmd(
         let _ = writeln!(out, "streams per-shard: one derived RNG stream per shard");
     }
     let run = if clients > 0 {
-        let backend = serve_tcp_drive(backend, port, clients)?;
+        let served = serve_tcp_drive(&mut backend, port, clients);
+        let run = backend.finish(served, journal.as_deref())?;
         let _ = writeln!(out, "drained by {clients} concurrent TCP clients");
-        let run = backend.finish(journal.as_deref())?;
         out.push_str(&run.stats.render());
         if let Some(store) = &run.store {
             append_sharded_oracle_verdict(&mut out, &groups, &campaign, &serve, seed, store);
@@ -1244,8 +1260,8 @@ fn serve_cmd(
         }
         run
     } else if let Some(port) = port {
-        let backend = serve_tcp_daemon(backend, port)?;
-        let run = backend.finish(journal.as_deref())?;
+        let served = serve_tcp_daemon(&mut backend, port);
+        let run = backend.finish(served, journal.as_deref())?;
         out.push_str(&run.stats.render());
         if let (Some(path), Some(store)) = (&json, &run.store) {
             write_serve_json(path, &plan, seed, 0, store, run.journal.as_ref())?;
@@ -1254,29 +1270,25 @@ fn serve_cmd(
     } else {
         // Default: drain in process and check the flavor's oracle.
         backend.drain();
-        let run = backend.finish(journal.as_deref())?;
+        let run = backend.finish(Ok(()), journal.as_deref())?;
         out.push_str(&run.stats.render());
         match streams {
             StreamMode::Single => {
                 // The batched-kernel oracle: the drained session must be
                 // bit-identical to the batch kernel on the same seed.
-                let mut batch_rng = DeterministicRng::new(seed);
-                let mut batch_out = CampaignOutcome::default();
-                let mut scratch = CampaignScratch::new();
-                run_campaign_groups(
-                    groups.iter().copied(),
-                    &campaign,
-                    &mut batch_rng,
-                    &mut batch_out,
-                    &mut scratch,
-                );
-                let ok =
-                    drain_equivalence(&DrainState::batch(batch_out, batch_rng), &run.state).is_ok();
-                let _ = writeln!(
-                    out,
-                    "batched-kernel oracle: {}",
-                    if ok { "bit-identical" } else { "DIVERGED" }
-                );
+                append_oracle_verdict(&mut out, "batched-kernel", run.stats.timeouts, || {
+                    let mut batch_rng = DeterministicRng::new(seed);
+                    let mut batch_out = CampaignOutcome::default();
+                    let mut scratch = CampaignScratch::new();
+                    run_campaign_groups(
+                        groups.iter().copied(),
+                        &campaign,
+                        &mut batch_rng,
+                        &mut batch_out,
+                        &mut scratch,
+                    );
+                    drain_equivalence(&DrainState::batch(batch_out, batch_rng), &run.state).is_ok()
+                });
             }
             StreamMode::PerShard => {
                 // The shard-by-shard oracle (the per-shard determinism
@@ -1290,7 +1302,7 @@ fn serve_cmd(
         }
         run
     };
-    append_journal_tail(&mut out, run.journal.as_ref(), recovery.as_ref());
+    append_journal_tail(&mut out, &run, recovery.as_ref(), &groups, &campaign);
     Ok(out)
 }
 
@@ -1418,13 +1430,18 @@ fn recover_backend(
 
 /// The journal's closing report lines — present only when `--journal`
 /// was given, so journal-free reports stay byte-identical to previous
-/// releases.
+/// releases, and a recovered report matches an uninterrupted one once
+/// the lines starting `journal` are dropped.  The last line is the one
+/// oracle that holds under every schedule, timeouts and recoveries
+/// included: the finished journal must replay to the live store's state.
 fn append_journal_tail(
     out: &mut String,
-    journal: Option<&JournalSummary>,
+    run: &ServeRun,
     recovery: Option<&Recovery>,
+    groups: &[SpecGroup],
+    campaign: &CampaignConfig,
 ) {
-    let Some(j) = journal else { return };
+    let Some(j) = &run.journal else { return };
     if let Some(r) = recovery {
         let _ = writeln!(
             out,
@@ -1443,12 +1460,44 @@ fn append_journal_tail(
         "journal: {} (sync {}): {} records, {} bytes, {} syncs, chain {:#018x}",
         j.path, j.policy, j.records, j.bytes, j.synced, j.chain
     );
+    let replayed = std::fs::read(&j.path)
+        .map_err(|e| e.to_string())
+        .and_then(|bytes| {
+            replay_groups(&bytes, groups, campaign, ReplayOptions::default())
+                .map_err(|e| e.to_string())
+        })
+        .and_then(|r| drain_equivalence(&DrainState::of(&r.store), &run.state));
+    let _ = match replayed {
+        Ok(()) => writeln!(out, "journal replay oracle: bit-identical"),
+        Err(e) => writeln!(out, "journal replay oracle: DIVERGED ({e})"),
+    };
+}
+
+/// One patient-drain oracle's verdict line.  Such an oracle models no
+/// timeout, no lost copy and no recovery, so once a timeout has fired it
+/// does not apply and `holds` is not run.
+fn append_oracle_verdict(
+    out: &mut String,
+    name: &str,
+    timeouts: u64,
+    holds: impl FnOnce() -> bool,
+) {
+    let _ = if timeouts > 0 {
+        writeln!(
+            out,
+            "{name} oracle: not applicable ({timeouts} timeouts fired)"
+        )
+    } else if holds() {
+        writeln!(out, "{name} oracle: bit-identical")
+    } else {
+        writeln!(out, "{name} oracle: DIVERGED")
+    };
 }
 
 /// Re-drain a fresh per-shard [`Store`] shard by shard and compare it to
 /// the served store: merged outcome, per-shard final RNG states, and the
 /// full stats snapshot must all match bit for bit regardless of how many
-/// clients interleaved their requests.
+/// clients interleaved their requests (while no timeout fires).
 fn append_sharded_oracle_verdict(
     out: &mut String,
     groups: &[SpecGroup],
@@ -1457,21 +1506,17 @@ fn append_sharded_oracle_verdict(
     seed: u64,
     store: &Store,
 ) {
-    let verdict = match Store::from_groups(groups, campaign, serve, seed, StreamMode::PerShard) {
-        Ok(mut oracle) => {
-            oracle.drain_shard_by_shard();
-            let ok = store.merged_outcome() == oracle.merged_outcome()
-                && store.final_rngs() == oracle.final_rngs()
-                && store.stats() == oracle.stats();
-            if ok {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        }
-        Err(_) => "DIVERGED",
-    };
-    let _ = writeln!(out, "sharded-stream oracle: {verdict}");
+    let stats = store.stats();
+    append_oracle_verdict(out, "sharded-stream", stats.timeouts, || {
+        Store::from_groups(groups, campaign, serve, seed, StreamMode::PerShard).is_ok_and(
+            |mut oracle| {
+                oracle.drain_shard_by_shard();
+                store.merged_outcome() == oracle.merged_outcome()
+                    && store.final_rngs() == oracle.final_rngs()
+                    && stats == oracle.stats()
+            },
+        )
+    });
 }
 
 /// The 16 counters of a [`ServeStats`] snapshot as JSON object members,
@@ -1605,7 +1650,7 @@ fn journal_inspect(path: &str) -> Result<String, CliError> {
 /// instead of a generic one.
 fn join_drivers(
     drivers: Vec<(usize, std::thread::JoinHandle<std::io::Result<()>>)>,
-) -> Result<(), CliError> {
+) -> Result<(), String> {
     let mut failures = Vec::new();
     for (i, d) in drivers {
         match d.join() {
@@ -1617,33 +1662,27 @@ fn join_drivers(
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(CliError::Io(failures.join("; ")))
+        Err(failures.join("; "))
     }
 }
 
 /// Self-driving TCP drain: bind (an ephemeral port unless `--port` pins
 /// one), spawn `clients` synthetic client threads, and serve exactly that
-/// many connections off the backend on the epoll readiness loop.
-fn serve_tcp_drive(
-    mut backend: Backend,
-    port: Option<u16>,
-    clients: usize,
-) -> Result<Backend, CliError> {
+/// many connections off the backend on the epoll readiness loop.  Errors
+/// are messages for [`Backend::finish`].
+fn serve_tcp_drive(backend: &mut Backend, port: Option<u16>, clients: usize) -> Result<(), String> {
     use std::net::TcpListener;
     let listener = TcpListener::bind(("127.0.0.1", port.unwrap_or(0)))
-        .map_err(|e| CliError::Io(format!("binding the TCP listener: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CliError::Io(e.to_string()))?;
+        .map_err(|e| format!("binding the TCP listener: {e}"))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!("[serving on {addr}]");
     let opts = LoopOptions {
         expected_clients: Some(clients),
     };
     let drivers = spawn_drivers(addr, clients);
     serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
-        .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
-    join_drivers(drivers)?;
-    Ok(backend)
+        .map_err(|e| format!("epoll transport: {e}"))?;
+    join_drivers(drivers)
 }
 
 /// Spawn the enumerated synthetic client threads for a self-driving drain.
@@ -1738,30 +1777,25 @@ fn drive_client(addr: std::net::SocketAddr) -> std::io::Result<()> {
 }
 
 /// Daemon mode: listen on a pinned port until a client sends `shutdown`.
-fn serve_tcp_daemon(backend: Backend, port: u16) -> Result<Backend, CliError> {
+fn serve_tcp_daemon(backend: &mut Backend, port: u16) -> Result<(), String> {
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
-        .map_err(|e| CliError::Io(format!("binding the TCP listener: {e}")))?;
+        .map_err(|e| format!("binding the TCP listener: {e}"))?;
     serve_daemon_on(listener, backend)
 }
 
 /// The daemon's serve loop, split from the bind so tests can listen on an
 /// OS-assigned port.  `shutdown` from any client stops the loop: it stops
 /// accepting and drains its remaining connections itself, so no throwaway
-/// self-connection is needed to unblock an `accept`.
-fn serve_daemon_on(
-    listener: std::net::TcpListener,
-    mut backend: Backend,
-) -> Result<Backend, CliError> {
-    let addr = listener
-        .local_addr()
-        .map_err(|e| CliError::Io(e.to_string()))?;
+/// self-connection is needed to unblock an `accept`.  Errors are messages
+/// for [`Backend::finish`].
+fn serve_daemon_on(listener: std::net::TcpListener, backend: &mut Backend) -> Result<(), String> {
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!("[serving on {addr}; send `shutdown` to stop]");
     let opts = LoopOptions {
         expected_clients: None,
     };
     serve_readiness_loop(listener, opts, |req, reply| backend.handle_into(req, reply))
-        .map_err(|e| CliError::Io(format!("epoll transport: {e}")))?;
-    Ok(backend)
+        .map_err(|e| format!("epoll transport: {e}"))
 }
 
 fn solve_sm(
@@ -2264,7 +2298,7 @@ mod tests {
                 AdversaryModel::AssignmentFraction { p: 0.2 },
                 CheatStrategy::AtLeast { min_copies: 1 },
             );
-            let (backend, _) = make_backend(
+            let (mut backend, _) = make_backend(
                 &groups,
                 &campaign,
                 &ServeConfig::new(2),
@@ -2275,10 +2309,8 @@ mod tests {
                 false,
             )
             .unwrap();
-            let run = serve_daemon_on(listener, backend)
-                .unwrap()
-                .finish(None)
-                .unwrap();
+            let served = serve_daemon_on(listener, &mut backend);
+            let run = backend.finish(served, None).unwrap();
             let tag = format!("{streams:?}");
             let replies = client.join().unwrap();
             assert_eq!(replies.len(), 4, "{tag}: {replies:?}");

@@ -196,12 +196,25 @@ fn a_drained_history_costs_no_memory() {
     }
 }
 
+/// A scratch journal path unique to this test process.
+fn journal_path(name: &str) -> String {
+    let path =
+        std::env::temp_dir().join(format!("serve_stdio_{name}_{}.journal", std::process::id()));
+    path.to_str().unwrap().to_string()
+}
+
+/// Run `redundancy <args>` to completion.
+fn redundancy(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(args)
+        .output()
+        .expect("running redundancy")
+}
+
 /// Pipe `request-work`, `request-work`, `shutdown` into a journaled stdio
 /// session over 20 tasks and return what `journal-inspect` prints.
 fn scripted_journal(name: &str, mode: &[&str]) -> (String, String) {
-    let path =
-        std::env::temp_dir().join(format!("serve_stdio_{name}_{}.journal", std::process::id()));
-    let path = path.to_str().unwrap().to_string();
+    let path = journal_path(name);
     let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
         .args(["serve", "--stdio", "--tasks", "20", "--journal", &path])
         .args(["--sync", "always"])
@@ -216,10 +229,7 @@ fn scripted_journal(name: &str, mode: &[&str]) -> (String, String) {
     }
     drop(stdin);
     assert!(child.wait().unwrap().success());
-    let out = Command::new(env!("CARGO_BIN_EXE_redundancy"))
-        .args(["journal-inspect", "--journal", &path])
-        .output()
-        .unwrap();
+    let out = redundancy(&["journal-inspect", "--journal", &path]);
     let _ = std::fs::remove_file(&path);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     (path, String::from_utf8(out.stdout).unwrap())
@@ -258,5 +268,108 @@ fn scripted_stdio_journals_are_pinned() {
              4 records over 125 verified bytes, chain 0x47814418c9bc18f8\n\
              integrity: intact\n"
         )
+    );
+}
+
+/// A journaled `--stdio` session takes 40 `request-work` frames and
+/// returns nothing, so timeouts fire; `--recover` then drains the rest in
+/// process.  Neither patient-drain oracle models a timeout, so both say
+/// they do not apply instead of reporting a divergence, and the finished
+/// journal replays to the live store.
+#[test]
+fn oracles_after_timeouts_say_not_applicable_and_the_journal_replays() {
+    for (mode, oracle) in [
+        (
+            &[][..],
+            "batched-kernel oracle: not applicable (37 timeouts fired)",
+        ),
+        (
+            &["--streams", "per-shard"][..],
+            "sharded-stream oracle: not applicable (34 timeouts fired)",
+        ),
+    ] {
+        let path = journal_path(&format!("timeouts_{}", mode.len()));
+        let mut session = vec!["serve", "--tasks", "20", "--seed", "7", "--shards", "2"];
+        session.extend_from_slice(&["--timeout", "3", "--retries", "1", "--journal", &path]);
+        session.extend_from_slice(&["--sync", "always"]);
+        session.extend_from_slice(mode);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+            .args(&session)
+            .arg("--stdio")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawning the daemon");
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(&frame("request-work").repeat(40)).unwrap();
+        drop(stdin);
+        assert!(child.wait().unwrap().success(), "{mode:?}");
+        session.push("--recover");
+        let out = redundancy(&session);
+        let _ = std::fs::remove_file(&path);
+        let report = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{mode:?}: {report}");
+        assert!(report.contains(oracle), "{mode:?}: {report}");
+        assert!(
+            report.ends_with("journal replay oracle: bit-identical\n"),
+            "{mode:?}: {report}"
+        );
+        assert!(!report.contains("DIVERGED"), "{mode:?}: {report}");
+    }
+}
+
+/// A transport error still flushes the journal: a `--sync off` session
+/// whose client hung up before reading exits 2 naming the broken pipe,
+/// and leaves an intact journal that `--recover` drains.
+#[test]
+fn a_broken_stdout_keeps_the_journal() {
+    let path = journal_path("broken_pipe");
+    let session = [
+        "serve",
+        "--tasks",
+        "200",
+        "--seed",
+        "7",
+        "--journal",
+        &path,
+        "--sync",
+        "off",
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(session)
+        .arg("--stdio")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the daemon");
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().unwrap();
+    // The daemon may exit before it has read them all.
+    let _ = stdin.write_all(&frame("request-work").repeat(3));
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("stdio transport: Broken pipe"), "{stderr}");
+    let inspect = redundancy(&["journal-inspect", "--journal", &path]);
+    assert_eq!(inspect.status.code(), Some(0), "{inspect:?}");
+    let listing = String::from_utf8(inspect.stdout).unwrap();
+    assert!(listing.contains("integrity: intact"), "{listing}");
+    assert!(listing.contains("  0  header seed=7 "), "{listing}");
+    assert!(listing.contains("  1  issue task=0 copy=0"), "{listing}");
+    let mut recover = session.to_vec();
+    recover.push("--recover");
+    let out = redundancy(&recover);
+    let _ = std::fs::remove_file(&path);
+    let report = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{report}");
+    let count = |key: &str| report.lines().find_map(|l| l.strip_prefix(key));
+    assert!(count("tasks-completed ").is_some(), "{report}");
+    assert_eq!(count("tasks-completed "), count("tasks-total "), "{report}");
+    assert!(report.contains("journal recovered: "), "{report}");
+    assert!(
+        report.ends_with("journal replay oracle: bit-identical\n"),
+        "{report}"
     );
 }

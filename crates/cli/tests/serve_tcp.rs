@@ -119,3 +119,35 @@ fn a_client_that_never_reads_cannot_grow_the_daemon() {
         "peak RSS grew by {grown} kB while the client did not read"
     );
 }
+
+/// Eight TCP clients against a two-tick timeout: timeouts fire in every
+/// schedule, so the patient-drain oracle must say it does not apply
+/// rather than report a divergence.
+#[test]
+fn a_tcp_drain_with_timeouts_never_reports_a_divergence() {
+    let out = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args([
+            "serve",
+            "--tasks",
+            "2000",
+            "--clients",
+            "8",
+            "--shards",
+            "2",
+        ])
+        .args(["--streams", "per-shard", "--timeout", "2", "--retries", "1"])
+        .args(["--seed", "5"])
+        .output()
+        .expect("running the drain");
+    let report = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{report}");
+    assert!(!report.contains("DIVERGED"), "{report}");
+    let verdict = report
+        .lines()
+        .find_map(|l| l.strip_prefix("sharded-stream oracle: "))
+        .unwrap_or_else(|| panic!("no oracle verdict in {report}"));
+    assert!(
+        verdict.starts_with("not applicable (") || verdict == "bit-identical",
+        "{verdict}"
+    );
+}

@@ -8,26 +8,24 @@
 //! fallback: off Linux [`serve_readiness_loop`] returns an `Unsupported`
 //! error, and [`available`] lets a caller refuse TCP serving up front.
 //!
-//! Per connection the loop owns a read buffer (frames are parsed greedily
-//! out of it, zero-copy) and a write buffer (replies are queued and
-//! flushed as the socket drains, with `EPOLLOUT` interest registered only
-//! while bytes are pending).  Each readiness report costs one `read`,
-//! straight into the read buffer: a read that returns less than it was
-//! offered means the socket is drained, and level-triggered epoll reports
-//! whatever arrives after it.  Once 64 KiB of replies wait unflushed, the
-//! loop stops answering and reading that connection (`EPOLLIN` is
-//! disarmed) until the client reads, so a client that never reads fills
-//! its own socket buffers, not the daemon's memory.  Connections are
-//! indexed by descriptor, not hashed.
+//! Each connection is a socket plus one sans-io connection core
+//! (`serve::conn`), which frames and answers its bytes exactly as it does for
+//! [`serve_connection`](super::serve_connection): malformed input, the
+//! output cap and every reply are decided there.  This loop only makes the
+//! system calls.  Per readiness report it answers the buffered frames,
+//! `send`s until the output drains or would block, and makes one `recv`
+//! into the core's free space.  A read shorter than the space offered means
+//! the socket is drained, and level-triggered epoll reports whatever
+//! arrives after it.  Once the core stops answering because 64 KiB of
+//! replies wait unsent, `EPOLLIN` is disarmed until the client reads, and
+//! the frames left buffered are answered as soon as a send makes room,
+//! before anything more is read.  `EPOLLOUT` is armed only while bytes are
+//! pending, and `epoll_ctl` runs only when the interest changes.
+//! Connections are indexed by descriptor, not hashed.
 //!
 //! The loop is one thread and answers one frame at a time, so its handler
 //! is an `FnMut` that owns the store: the CLI's daemon answers through
-//! exclusive (`&mut`) access, and no request takes a lock.  Malformed
-//! input earns the same
-//! structured `err` frames as
-//! [`serve_connection`](super::serve_connection): a truncated frame or an
-//! oversized prefix answers `err` and closes after the flush; invalid
-//! UTF-8 answers `err` and the session continues.
+//! exclusive (`&mut`) access, and no request takes a lock.
 //!
 //! A failed `accept` never ends the loop unless the listener itself is
 //! broken.  A connection that failed before it was accepted (for example
@@ -88,7 +86,7 @@ pub use linux::serve_readiness_loop;
 #[cfg(target_os = "linux")]
 mod linux {
     use super::LoopOptions;
-    use crate::serve::protocol::{write_frame, MAX_FRAME};
+    use crate::serve::conn::Conn;
     use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::{AsRawFd, RawFd};
@@ -141,18 +139,6 @@ mod linux {
     /// How long a loop that stopped accepting for want of descriptors
     /// waits for a connection to close before it tries again anyway.
     const ACCEPT_RETRY: Duration = Duration::from_millis(100);
-
-    /// A connection's read buffer holds at least two maximal frames, so
-    /// after the unparsed tail (always less than one frame) is moved to
-    /// the front there is room for a whole frame more.
-    const INBUF_LEN: usize = 2 * (4 + MAX_FRAME);
-
-    /// Unflushed reply bytes at which a connection stops being answered
-    /// and read.  A client that pipelines requests without reading its
-    /// replies then fills its own socket buffers instead of the daemon's
-    /// memory: a connection holds at most `INBUF_LEN` bytes of requests
-    /// and `OUTBUF_CAP` bytes plus one reply of output.
-    const OUTBUF_CAP: usize = 64 * 1024;
 
     /// RAII wrapper over one epoll instance.
     struct Epoll {
@@ -256,129 +242,51 @@ mod linux {
         )
     }
 
-    /// One connection's state: the socket plus its session-owned frame
-    /// buffers.  `inbuf[start..end]` holds received bytes not yet parsed;
-    /// `outbuf` holds replies awaiting flush.
-    struct Conn {
+    /// One TCP connection: the socket, its sans-io core, and the interest
+    /// mask registered with epoll.
+    struct Peer {
         stream: TcpStream,
-        inbuf: Box<[u8]>,
-        start: usize,
-        end: usize,
-        outbuf: Vec<u8>,
-        /// Stop reading; close once the write buffer drains (set after a
-        /// malformed frame, a `shutdown` reply, or EOF).
-        closing: bool,
-        /// The interest mask currently registered with epoll.
+        conn: Conn,
         interest: u32,
     }
 
-    impl Conn {
-        fn new(stream: TcpStream) -> Conn {
-            Conn {
-                stream,
-                inbuf: vec![0; INBUF_LEN].into_boxed_slice(),
-                start: 0,
-                end: 0,
-                outbuf: Vec::new(),
-                closing: false,
-                interest: EPOLLIN | EPOLLRDHUP,
-            }
-        }
-
-        /// Move the unparsed tail to the front, then read once into the
-        /// free space; returns what the read returned and how much space
-        /// it was offered.
-        fn read_once(&mut self) -> io::Result<(usize, usize)> {
-            self.inbuf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-            let space = self.inbuf.len() - self.end;
-            loop {
-                match self.stream.read(&mut self.inbuf[self.end..]) {
-                    Ok(n) => {
-                        self.end += n;
-                        return Ok((n, space));
-                    }
+    impl Peer {
+        /// Receive once into the core's free space; returns true when the
+        /// read filled it (a shorter read means the socket is drained).
+        fn receive(&mut self) -> io::Result<bool> {
+            let space = self.conn.read_space();
+            let offered = space.len();
+            let n = loop {
+                match self.stream.read(space) {
+                    Ok(n) => break n,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
                 }
+            };
+            if n == 0 {
+                self.conn.end_of_input();
+            } else {
+                self.conn.received(n);
             }
+            Ok(n == offered)
         }
 
-        /// True while the connection is answered and read: it is not
-        /// closing, and its unflushed output is under [`OUTBUF_CAP`].
-        fn accepts_input(&self) -> bool {
-            !self.closing && self.outbuf.len() < OUTBUF_CAP
-        }
-
-        /// Answer the complete frames in the read buffer through `handle`
-        /// while the connection accepts input; returns true if one of them
-        /// was `shutdown`.
-        fn answer_frames(
-            &mut self,
-            reply: &mut String,
-            handle: &mut impl FnMut(&str, &mut String) -> bool,
-        ) -> bool {
-            let mut shutdown = false;
-            while self.accepts_input() {
-                let pending = &self.inbuf[self.start..self.end];
-                let Some(prefix) = pending.first_chunk::<4>() else {
-                    break;
-                };
-                let len = u32::from_be_bytes(*prefix);
-                if len as usize > MAX_FRAME {
-                    self.queue_reply(&format!("err oversize-frame {len} exceeds {MAX_FRAME}"));
-                    self.closing = true;
-                    self.start = self.end;
-                    break;
-                }
-                let Some(payload) = pending.get(4..4 + len as usize) else {
-                    break;
-                };
-                self.start += 4 + len as usize;
-                match std::str::from_utf8(payload) {
-                    Err(_) => self.queue_reply("err invalid-utf8"),
-                    Ok(text) => {
-                        if handle(text, reply) {
-                            shutdown = true;
-                            self.closing = true;
-                        }
-                        write_frame(&mut self.outbuf, reply).expect("writing to a Vec cannot fail");
-                    }
-                }
-            }
-            shutdown
-        }
-
-        fn queue_reply(&mut self, payload: &str) {
-            write_frame(&mut self.outbuf, payload).expect("writing to a Vec cannot fail");
-        }
-
-        /// Write queued bytes until the socket would block or the buffer
-        /// drains, then drop the bytes written.  An I/O error here
-        /// abandons the connection.
+        /// Send the core's output until it drains or the socket would
+        /// block.  An I/O error here abandons the connection.
         fn flush(&mut self) -> io::Result<()> {
-            let mut written = 0;
-            while written < self.outbuf.len() {
-                match self.stream.write(&self.outbuf[written..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "socket accepted zero bytes",
-                        ))
-                    }
-                    Ok(n) => written += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            loop {
+                let out = self.conn.output();
+                if out.is_empty() {
+                    return Ok(());
+                }
+                match self.stream.write(out) {
+                    Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                    Ok(n) => self.conn.wrote(n),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
                 }
             }
-            self.outbuf.drain(..written);
-            Ok(())
-        }
-
-        fn has_pending_output(&self) -> bool {
-            !self.outbuf.is_empty()
         }
     }
 
@@ -413,10 +321,9 @@ mod linux {
         let lfd = listener.as_raw_fd();
         ep.add(lfd, EPOLLIN)?;
         // Connections indexed by fd: descriptors are small and dense.
-        let mut conns: Vec<Option<Conn>> = Vec::new();
+        let mut peers: Vec<Option<Peer>> = Vec::new();
         let mut open = 0usize;
         let mut events = vec![EpollEvent { events: 0, data: 0 }; 64];
-        let mut reply = String::new();
         let mut accepted = 0usize;
         let mut accepting = Accepting::Open;
         let mut shutting_down = false;
@@ -463,8 +370,12 @@ mod linux {
                         }
                         let _ = stream.set_nodelay(true);
                         let cfd = stream.as_raw_fd();
-                        let conn = Conn::new(stream);
-                        if let Err(e) = ep.add(cfd, conn.interest) {
+                        let peer = Peer {
+                            stream,
+                            conn: Conn::new(),
+                            interest: EPOLLIN | EPOLLRDHUP,
+                        };
+                        if let Err(e) = ep.add(cfd, peer.interest) {
                             if exhausted(&e) {
                                 ep.delete(lfd)?;
                                 accepting = Accepting::Paused(Instant::now());
@@ -472,10 +383,10 @@ mod linux {
                             continue;
                         }
                         let slot = cfd as usize;
-                        if conns.len() <= slot {
-                            conns.resize_with(slot + 1, || None);
+                        if peers.len() <= slot {
+                            peers.resize_with(slot + 1, || None);
                         }
-                        conns[slot] = Some(conn);
+                        peers[slot] = Some(peer);
                         open += 1;
                         accepted += 1;
                         if opts.expected_clients == Some(accepted) {
@@ -485,7 +396,7 @@ mod linux {
                     }
                     continue;
                 }
-                let Some(conn) = conns.get_mut(fd as usize).and_then(Option::as_mut) else {
+                let Some(peer) = peers.get_mut(fd as usize).and_then(Option::as_mut) else {
                     continue;
                 };
                 let mut abandon = false;
@@ -499,21 +410,19 @@ mod linux {
                 // already read.
                 let mut readable = mask & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0;
                 loop {
-                    if conn.answer_frames(&mut reply, &mut handle)
-                        && opts.expected_clients.is_none()
-                    {
+                    if peer.conn.answer(&mut handle) && opts.expected_clients.is_none() {
                         shutting_down = true;
                         if accepting == Accepting::Open {
                             ep.delete(lfd)?;
                         }
                         accepting = Accepting::Closed;
                     }
-                    let capped = !conn.closing && !conn.accepts_input();
-                    if conn.flush().is_err() {
+                    let capped = !peer.conn.accepts_input();
+                    if peer.flush().is_err() {
                         abandon = true;
                         break;
                     }
-                    if !conn.accepts_input() {
+                    if !peer.conn.accepts_input() {
                         break;
                     }
                     if capped {
@@ -522,16 +431,8 @@ mod linux {
                     if !readable {
                         break;
                     }
-                    match conn.read_once() {
-                        Ok((0, _)) => {
-                            if conn.start < conn.end {
-                                // The stream ended mid-prefix or
-                                // mid-payload.
-                                conn.queue_reply("err truncated-frame");
-                            }
-                            conn.closing = true;
-                        }
-                        Ok((n, space)) => readable = n == space,
+                    match peer.receive() {
+                        Ok(filled) => readable = filled,
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(_) => {
                             abandon = true;
@@ -539,19 +440,18 @@ mod linux {
                         }
                     }
                 }
-                let finished = conn.closing && !conn.has_pending_output();
-                if !abandon && !finished {
+                if !abandon && !peer.conn.is_finished() {
                     let mut want = 0u32;
-                    if conn.accepts_input() {
+                    if peer.conn.accepts_input() {
                         want |= EPOLLIN | EPOLLRDHUP;
                     }
-                    if conn.has_pending_output() {
+                    if !peer.conn.output().is_empty() {
                         want |= EPOLLOUT;
                     }
-                    if want == conn.interest {
+                    if want == peer.interest {
                         continue;
                     }
-                    conn.interest = want;
+                    peer.interest = want;
                     if ep.modify(fd, want).is_ok() {
                         continue;
                     }
@@ -559,7 +459,7 @@ mod linux {
                 }
                 // Dropping the stream closes the fd, which also removes
                 // it from the epoll interest set.
-                conns[fd as usize] = None;
+                peers[fd as usize] = None;
                 open -= 1;
                 closed_any = true;
             }

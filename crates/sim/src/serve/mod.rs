@@ -35,20 +35,24 @@
 //! call the groups path.
 //!
 //! One thread owns the store: every method that changes it takes `&mut
-//! self`.  [`epoll`] supplies the Linux readiness loop both TCP serve
-//! modes run on, one thread answering one request at a time, and the
-//! stdio transport ([`serve_connection`]) is one thread too, so neither
-//! takes a lock.  [`journal`] layers an append-only, checksummed event log
-//! over any [`WorkStore`] so a crashed session can be [`replay`]ed back to
-//! a bit-identical store.
+//! self`.  Every transport frames its bytes through one sans-io
+//! connection core (`conn`), a state machine over bytes that makes no
+//! system call, and answers each request through [`handle_request`].  Two
+//! thin shells make the system calls: [`epoll`] supplies the Linux
+//! readiness loop both TCP serve modes run on, one thread answering one
+//! request at a time, and the stdio transport ([`serve_connection`]) is
+//! one thread too, so neither takes a lock.  [`journal`] layers an
+//! append-only, checksummed event log over any [`WorkStore`] so a crashed
+//! session can be [`replay`]ed back to a bit-identical store.
 //!
 //! Three older names remain as thin wrappers, because the end-to-end
 //! benchmark's host and oracle compile against them: [`StoreEnum`] (an
-//! alias of [`Store`]), [`ServeSession`] (a single-stream store with a
-//! reply buffer) and [`ConcurrentStore`] (a per-shard store behind one
-//! lock, for a store shared across threads).
+//! alias of [`Store`]), [`ServeSession`] (a single-stream store) and
+//! [`ConcurrentStore`] (a per-shard store behind one lock, for a store
+//! shared across threads).
 
 pub mod concurrent;
+mod conn;
 pub mod epoll;
 pub mod journal;
 pub mod protocol;
@@ -63,8 +67,8 @@ pub use journal::{
     ParsedJournal, Record, ReplayOptions, Replayed, SessionHeader, SharedBuf, SyncPolicy,
 };
 pub use protocol::{
-    decode_frames, handle_request, read_frame, read_frame_into, script_frames, serve_connection,
-    write_frame, Frame, FrameKind, Reply, ServeSession, SessionEnd, MAX_FRAME,
+    decode_frames, handle_request, read_frame, script_frames, serve_connection, write_frame, Frame,
+    ServeSession, SessionEnd, MAX_FRAME,
 };
 pub use store::{
     drain_session, serve_experiment, Assignment, Issue, ReturnAck, ServeConfig, ServeError,

@@ -49,19 +49,24 @@
 //! formats them: a `work` reply is three decimal integers without leading
 //! zeros.
 //!
-//! The transport is generic over [`Read`]/[`Write`], so the same loop
-//! serves stdio (deterministic, byte-fixture-testable) and in-memory
-//! buffers (the integration tests).  TCP connections run on the epoll
-//! readiness loop, which takes the same request handler.
+//! Frames are read in one place: one function reads where a frame ends,
+//! and one sans-io connection core (`serve::conn`) answers them for every
+//! transport and decides the malformed-frame replies above.  Two shells
+//! make its system calls: [`serve_connection`], generic over
+//! [`Read`]/[`Write`], serves stdio (deterministic, byte-fixture-testable)
+//! and in-memory buffers (the integration tests), and the epoll readiness
+//! loop serves TCP connections.  Both take the same request handler.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use super::concurrent::StreamMode;
+use super::conn::Conn;
 use super::store::{Assignment, Issue, ReturnAck, ServeConfig, ServeError, ServeStats, Store};
 use super::WorkStore;
 use crate::engine::CampaignConfig;
 use crate::outcome::CampaignOutcome;
-use crate::task::{SpecGroup, TaskId, TaskSpec};
+use crate::task::{TaskId, TaskSpec};
 use redundancy_stats::DeterministicRng;
 
 /// Maximum frame payload, in bytes.  Requests are one short line and the
@@ -90,77 +95,62 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     w.write_all(bytes)
 }
 
-/// Read up to `buf.len()` bytes, stopping early only at EOF; returns how
-/// many bytes were read.
-fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
-/// What [`read_frame_into`] found, with the payload left in the caller's
-/// buffer instead of a fresh allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// A complete payload now fills the buffer.
-    Message,
-    /// Clean end of stream before any prefix byte.
-    Eof,
-    /// The stream ended mid-prefix or mid-payload.
-    Truncated,
+/// Where the frame at the front of a byte stream ends, as
+/// [`frame_boundary`] reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Boundary {
+    /// A complete frame: the range of its payload, which ends where the
+    /// frame does.
+    Frame(Range<usize>),
+    /// The frame needs this many bytes in all (its prefix, or its prefix
+    /// and payload), more than there are.
+    Incomplete(usize),
     /// The prefix declared a payload larger than [`MAX_FRAME`].
     Oversize(u32),
 }
 
-/// Read one frame into `payload` (cleared first), reusing its capacity
-/// across calls — the transport loop's steady state allocates nothing.
-/// Never blocks past the bytes the prefix promised and never reads the
-/// payload of an oversized frame.
-pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> io::Result<FrameKind> {
-    payload.clear();
-    let mut prefix = [0u8; 4];
-    match read_up_to(r, &mut prefix)? {
-        0 => return Ok(FrameKind::Eof),
-        4 => {}
-        _ => return Ok(FrameKind::Truncated),
-    }
-    let len = u32::from_be_bytes(prefix);
+/// Read the boundary of the frame at the front of `bytes`.  This is the
+/// one place a frame's extent is decided: the connection core,
+/// [`read_frame`] and [`decode_frames`] all ask it.
+#[inline]
+pub(crate) fn frame_boundary(bytes: &[u8]) -> Boundary {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Boundary::Incomplete(4);
+    };
+    let len = u32::from_be_bytes(*prefix);
     if len as usize > MAX_FRAME {
-        return Ok(FrameKind::Oversize(len));
+        return Boundary::Oversize(len);
     }
-    payload.resize(len as usize, 0);
-    if read_up_to(r, payload)? < payload.len() {
-        return Ok(FrameKind::Truncated);
+    let end = 4 + len as usize;
+    if bytes.len() < end {
+        return Boundary::Incomplete(end);
     }
-    Ok(FrameKind::Message)
+    Boundary::Frame(4..end)
 }
 
-/// Read one frame into a fresh buffer (allocating wrapper over
-/// [`read_frame_into`] for callers outside the hot loop).
+/// Read one frame from a blocking reader.  Never reads past the frame, nor
+/// the payload of an oversized one.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
-    let mut payload = Vec::new();
-    Ok(match read_frame_into(r, &mut payload)? {
-        FrameKind::Message => Frame::Message(payload),
-        FrameKind::Eof => Frame::Eof,
-        FrameKind::Truncated => Frame::Truncated,
-        FrameKind::Oversize(len) => Frame::Oversize(len),
-    })
-}
-
-/// One request's outcome: the response text plus whether the session ends.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reply {
-    /// Response payload to frame back to the client.
-    pub text: String,
-    /// True after `shutdown`: the transport loop should stop.
-    pub shutdown: bool,
+    let mut bytes = Vec::new();
+    loop {
+        match frame_boundary(&bytes) {
+            Boundary::Frame(payload) => {
+                bytes.drain(..payload.start);
+                return Ok(Frame::Message(bytes));
+            }
+            Boundary::Oversize(len) => return Ok(Frame::Oversize(len)),
+            Boundary::Incomplete(need) => {
+                let short = need - bytes.len();
+                if r.by_ref().take(short as u64).read_to_end(&mut bytes)? < short {
+                    return Ok(if bytes.is_empty() {
+                        Frame::Eof
+                    } else {
+                        Frame::Truncated
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// How a transport loop ended.
@@ -365,15 +355,11 @@ fn digits_before(buf: &mut [u8], mut end: usize, mut n: u64) -> usize {
     end
 }
 
-/// A single-stream [`Store`] plus a reusable reply buffer, answering
-/// requests as protocol text.  It remains as a name the benchmark's oracle
-/// compiles against; the transports answer through [`handle_request`].
+/// A single-stream [`Store`].  It remains as a name the benchmark's oracle
+/// compiles against; every transport answers through [`handle_request`].
 #[derive(Debug)]
 pub struct ServeSession {
     store: Store,
-    /// Reply scratch reused by [`handle_buffered`](Self::handle_buffered):
-    /// after warm-up the per-request path allocates nothing.
-    reply_buf: String,
 }
 
 impl ServeSession {
@@ -384,45 +370,8 @@ impl ServeSession {
         serve: &ServeConfig,
         seed: u64,
     ) -> Result<Self, String> {
-        Store::new(tasks, config, serve, seed, StreamMode::Single).map(Self::wrap)
-    }
-
-    /// A fresh single-stream session over the spec groups `groups`; see
-    /// [`Store::from_groups`].
-    pub fn from_groups(
-        groups: &[SpecGroup],
-        config: &CampaignConfig,
-        serve: &ServeConfig,
-        seed: u64,
-    ) -> Result<Self, String> {
-        Store::from_groups(groups, config, serve, seed, StreamMode::Single).map(Self::wrap)
-    }
-
-    fn wrap(store: Store) -> Self {
-        ServeSession {
-            store,
-            reply_buf: String::new(),
-        }
-    }
-
-    /// Handle one request line, producing an owned response (allocating
-    /// wrapper over [`handle_buffered`](Self::handle_buffered) for callers
-    /// that need to hold the reply past the next request).
-    pub fn handle(&mut self, request: &str) -> Reply {
-        let (text, shutdown) = self.handle_buffered(request);
-        Reply {
-            text: text.to_owned(),
-            shutdown,
-        }
-    }
-
-    /// Handle one request line into the session's reusable reply buffer,
-    /// returning the response text and whether the session should end.
-    /// The borrow ends at the next call, so hot loops pay zero
-    /// allocations per request.
-    pub fn handle_buffered(&mut self, request: &str) -> (&str, bool) {
-        let shutdown = handle_request(&mut self.store, request, &mut self.reply_buf);
-        (&self.reply_buf, shutdown)
+        Store::new(tasks, config, serve, seed, StreamMode::Single)
+            .map(|store| ServeSession { store })
     }
 }
 
@@ -460,46 +409,41 @@ impl WorkStore for ServeSession {
     }
 }
 
-/// Run the framed request/response loop over any byte stream, delegating
-/// each decoded request to `handle`, which formats its reply into the
-/// provided scratch and returns true on `shutdown` — the same handler the
-/// epoll readiness loop takes.  Responses are flushed per frame so
-/// interactive transports never stall.
+/// Serve one connection over a blocking byte stream: the stdio shell over
+/// the sans-io connection core, which frames and answers every request.
+/// Each pass reads what the input holds, answers every complete frame
+/// through `handle` (which formats its reply into the provided scratch
+/// and returns true on `shutdown`, the same handler the epoll readiness
+/// loop takes), writes the replies and flushes once.  It reads again only
+/// when no complete frame waits unanswered, so a client that waits for
+/// its replies never stalls.
 pub fn serve_connection<R: Read, W: Write>(
     r: &mut R,
     w: &mut W,
     mut handle: impl FnMut(&str, &mut String) -> bool,
 ) -> io::Result<SessionEnd> {
-    // One decode buffer and one reply buffer for the whole connection:
-    // after the largest frame has been seen, the loop stops allocating.
-    let mut payload = Vec::new();
-    let mut reply = String::new();
+    let mut conn = Conn::new();
     loop {
-        match read_frame_into(r, &mut payload)? {
-            FrameKind::Eof => return Ok(SessionEnd::Eof),
-            FrameKind::Truncated => {
-                write_frame(w, "err truncated-frame")?;
-                w.flush()?;
-                return Ok(SessionEnd::Malformed);
+        // The core stops answering while its replies fill the output cap,
+        // so answer and write until a pass leaves nothing to write.
+        loop {
+            conn.answer(&mut handle);
+            let n = conn.output().len();
+            if n == 0 {
+                break;
             }
-            FrameKind::Oversize(len) => {
-                write_frame(w, &format!("err oversize-frame {len} exceeds {MAX_FRAME}"))?;
-                w.flush()?;
-                return Ok(SessionEnd::Malformed);
-            }
-            FrameKind::Message => {
-                let Ok(text) = std::str::from_utf8(&payload) else {
-                    write_frame(w, "err invalid-utf8")?;
-                    w.flush()?;
-                    continue;
-                };
-                let shutdown = handle(text, &mut reply);
-                write_frame(w, &reply)?;
-                w.flush()?;
-                if shutdown {
-                    return Ok(SessionEnd::Shutdown);
-                }
-            }
+            w.write_all(conn.output())?;
+            conn.wrote(n);
+        }
+        w.flush()?;
+        if conn.is_finished() {
+            return Ok(conn.end());
+        }
+        match r.read(conn.read_space()) {
+            Ok(0) => conn.end_of_input(),
+            Ok(n) => conn.received(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -519,14 +463,17 @@ pub fn script_frames(requests: &[&str]) -> Vec<u8> {
 pub fn decode_frames(mut bytes: &[u8]) -> Vec<String> {
     let mut out = Vec::new();
     loop {
-        match read_frame(&mut bytes).expect("reading from a slice cannot fail") {
-            Frame::Message(payload) => out.push(String::from_utf8_lossy(&payload).into_owned()),
-            Frame::Eof => return out,
-            Frame::Truncated => {
+        match frame_boundary(bytes) {
+            Boundary::Frame(payload) => {
+                out.push(String::from_utf8_lossy(&bytes[payload.clone()]).into_owned());
+                bytes = &bytes[payload.end..];
+            }
+            Boundary::Incomplete(_) if bytes.is_empty() => return out,
+            Boundary::Incomplete(_) => {
                 out.push("<truncated>".into());
                 return out;
             }
-            Frame::Oversize(len) => {
+            Boundary::Oversize(len) => {
                 out.push(format!("<oversize {len}>"));
                 return out;
             }
@@ -550,6 +497,13 @@ mod tests {
         ServeSession::new(&tasks, &config, &ServeConfig::new(2), seed).unwrap()
     }
 
+    /// The reply `handle_request` formats for `request`.
+    fn ask(s: &mut ServeSession, request: &str) -> String {
+        let mut reply = String::new();
+        handle_request(s, request, &mut reply);
+        reply
+    }
+
     #[test]
     fn frame_round_trip() {
         let mut bytes = Vec::new();
@@ -565,62 +519,33 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_into_reuses_the_buffer_and_matches_read_frame() {
+    fn frame_boundary_and_read_frame_classify_alike() {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, "a longer first frame").unwrap();
         write_frame(&mut bytes, "short").unwrap();
         write_frame(&mut bytes, "").unwrap();
+        let mut rest: &[u8] = &bytes;
         let mut r: &[u8] = &bytes;
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame_into(&mut r, &mut buf).unwrap(),
-            FrameKind::Message
-        );
-        assert_eq!(buf, b"a longer first frame");
-        let cap = buf.capacity();
-        assert_eq!(
-            read_frame_into(&mut r, &mut buf).unwrap(),
-            FrameKind::Message
-        );
-        assert_eq!(buf, b"short");
-        assert_eq!(buf.capacity(), cap, "shorter frame must not reallocate");
-        assert_eq!(
-            read_frame_into(&mut r, &mut buf).unwrap(),
-            FrameKind::Message
-        );
-        assert!(buf.is_empty());
-        assert_eq!(read_frame_into(&mut r, &mut buf).unwrap(), FrameKind::Eof);
-        // The malformed classifications agree with the allocating reader.
-        let mut t: &[u8] = &[0x00, 0x00];
-        assert_eq!(
-            read_frame_into(&mut t, &mut buf).unwrap(),
-            FrameKind::Truncated
-        );
-        let mut o: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF];
-        assert_eq!(
-            read_frame_into(&mut o, &mut buf).unwrap(),
-            FrameKind::Oversize(u32::MAX)
-        );
-    }
-
-    #[test]
-    fn handle_buffered_matches_handle_across_a_session() {
-        let mut buffered = session(2, 2, 5);
-        let mut owned = session(2, 2, 5);
-        for req in [
-            "request-work",
-            "stats",
-            "return-result 0 0",
-            "return-result 0 0",
-            "bogus verb",
-            "request-work",
-            "shutdown",
-        ] {
-            let want = owned.handle(req);
-            let (text, shutdown) = buffered.handle_buffered(req);
-            assert_eq!(text, want.text, "request {req}");
-            assert_eq!(shutdown, want.shutdown, "request {req}");
+        for want in ["a longer first frame", "short", ""] {
+            let Boundary::Frame(payload) = frame_boundary(rest) else {
+                panic!("no frame before {want:?}");
+            };
+            assert_eq!(&rest[payload.clone()], want.as_bytes());
+            rest = &rest[payload.end..];
+            assert_eq!(read_frame(&mut r).unwrap(), Frame::Message(want.into()));
         }
+        // End of input, then the malformed classifications.
+        assert_eq!(frame_boundary(rest), Boundary::Incomplete(4));
+        assert_eq!(read_frame(&mut r).unwrap(), Frame::Eof);
+        let truncated: &[u8] = &[0x00, 0x00];
+        assert_eq!(frame_boundary(truncated), Boundary::Incomplete(4));
+        assert_eq!(read_frame(&mut &truncated[..]).unwrap(), Frame::Truncated);
+        let oversize: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF];
+        assert_eq!(frame_boundary(oversize), Boundary::Oversize(u32::MAX));
+        assert_eq!(
+            read_frame(&mut &oversize[..]).unwrap(),
+            Frame::Oversize(u32::MAX)
+        );
     }
 
     #[test]
@@ -682,27 +607,24 @@ mod tests {
     #[test]
     fn unknown_verbs_and_bad_arguments_answer_err_and_continue() {
         let mut s = session(1, 2, 1);
+        assert_eq!(ask(&mut s, "frobnicate now"), "err unknown-verb frobnicate");
+        assert_eq!(ask(&mut s, ""), "err unknown-verb");
         assert_eq!(
-            s.handle("frobnicate now").text,
-            "err unknown-verb frobnicate"
-        );
-        assert_eq!(s.handle("").text, "err unknown-verb");
-        assert_eq!(
-            s.handle("return-result one two").text,
+            ask(&mut s, "return-result one two"),
             "err bad-request return-result expects <task> <copy>"
         );
         assert_eq!(
-            s.handle("return-result 0").text,
+            ask(&mut s, "return-result 0"),
             "err bad-request return-result expects <task> <copy>"
         );
         assert_eq!(
-            s.handle("return-result 0 0 0").text,
+            ask(&mut s, "return-result 0 0 0"),
             "err bad-request return-result expects <task> <copy>"
         );
         // The session is still alive and serves work.
-        assert!(s.handle("request-work").text.starts_with("work "));
+        assert!(ask(&mut s, "request-work").starts_with("work "));
         assert_eq!(
-            s.handle("return-result 99 0").text,
+            ask(&mut s, "return-result 99 0"),
             "err unknown-task task 99 is not in this workload"
         );
     }
@@ -715,7 +637,7 @@ mod tests {
                 // `len` bytes: as many copies of `unit` as fit, then ASCII.
                 let mut verb = unit.repeat(len / unit.len());
                 verb.push_str(&"x".repeat(len - verb.len()));
-                let reply = s.handle(&verb).text;
+                let reply = ask(&mut s, &verb);
                 assert!(reply.len() <= MAX_FRAME, "{}-byte reply", reply.len());
                 let echo = reply.strip_prefix(UNKNOWN_VERB).unwrap();
                 assert!(verb.starts_with(echo), "{unit:?} x {len}");
@@ -802,11 +724,11 @@ mod tests {
     #[test]
     fn stats_verb_serves_the_live_snapshot() {
         let mut s = session(3, 2, 7);
-        let before = s.handle("stats").text;
+        let before = ask(&mut s, "stats");
         assert!(before.contains("tasks-total 3"));
         assert!(before.contains("issued 0"));
-        let _ = s.handle("request-work");
-        let after = s.handle("stats").text;
+        ask(&mut s, "request-work");
+        let after = ask(&mut s, "stats");
         assert!(after.contains("issued 1"));
         assert!(after.contains("in-flight 1"));
         assert_eq!(after, s.stats().render());

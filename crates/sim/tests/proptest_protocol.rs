@@ -1,4 +1,4 @@
-//! Differential tests of the serve request codec.
+//! Differential tests of the serve request codec and of the stdio shell.
 //!
 //! `handle_request` tokenizes and formats at the byte level, and answers
 //! the canonical spellings of `request-work` and `return-result` before
@@ -9,15 +9,26 @@
 //! [`ServeSession`] twin, and an owned per-shard store against its
 //! [`ConcurrentStore`] twin behind `&` (the lock) — and must agree on every
 //! reply byte, every shutdown flag and every stats snapshot along the way.
+//!
+//! `serve_connection`, the stdio shell over the sans-io connection core,
+//! must write the same bytes however its input and output are split:
+//! short reads, short writes and `Interrupted` at random points change no
+//! byte, and it never reads again while a request it read waits
+//! unanswered.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::TestRng;
 use redundancy_core::RealizedPlan;
 use redundancy_sim::serve::{
-    handle_request, Issue, ServeConfig, ServeSession, Store, StreamMode, WorkStore, MAX_FRAME,
+    decode_frames, handle_request, script_frames, serve_connection, Issue, ServeConfig,
+    ServeSession, SessionEnd, Store, StreamMode, WorkStore, MAX_FRAME,
 };
 use redundancy_sim::task::expand_plan;
 use redundancy_sim::{AdversaryModel, CampaignConfig, CheatStrategy, ConcurrentStore, TaskId};
+use std::cell::RefCell;
+use std::io::{self, Read, Write};
+use std::rc::Rc;
 
 /// The request handler as it was before the byte-level codec, with one
 /// change since: an unknown verb is echoed only as far as keeps the reply
@@ -274,4 +285,203 @@ fn the_fast_path_boundary_matches_the_reference() {
     }
     assert_eq!(single.stats(), single_ref.stats());
     assert_eq!(sharded.stats(), sharded_ref.stats());
+}
+
+/// Draw a stdio script: request lines as [`request_line`] spells them,
+/// runs of `stats` whose replies pass the 64 KiB output cap, invalid
+/// UTF-8 and a frame-long unknown verb; then a clean end, a frame cut
+/// anywhere (inside its prefix included), an oversize prefix, or
+/// `shutdown` with more requests behind it.
+fn stdio_script(draws: &[u32]) -> Vec<u8> {
+    let (lines, tail) = draws.split_at(draws.len() - 2);
+    let mut bytes = Vec::new();
+    for draw in lines.chunks(14) {
+        match draw[0] % 16 {
+            0 => bytes.extend(script_frames(&["stats"]).repeat(1 + draw[1] as usize % 300)),
+            1 => bytes.extend_from_slice(&[0, 0, 0, 3, 0xC3, 0x28, 0xFF]),
+            2 => bytes.extend(script_frames(&[&"y".repeat(MAX_FRAME)])),
+            _ => bytes.extend(script_frames(&[&request_line(draw)])),
+        }
+    }
+    match tail[0] % 4 {
+        0 => {}
+        1 => {
+            let frame = script_frames(&["stats"]);
+            bytes.extend_from_slice(&frame[..1 + tail[1] as usize % (frame.len() - 1)]);
+        }
+        2 => bytes.extend_from_slice(&[0x7F, 0xFF, 0xFF, 0xFF]),
+        _ => bytes.extend(script_frames(&["shutdown", "request-work"])),
+    }
+    bytes
+}
+
+/// The complete frames at the front of a growing byte stream, counted
+/// incrementally.
+#[derive(Default)]
+struct FrameCount {
+    at: usize,
+    frames: usize,
+}
+
+impl FrameCount {
+    fn count(&mut self, bytes: &[u8]) -> usize {
+        while let Some(prefix) = bytes.get(self.at..self.at + 4) {
+            let len = u32::from_be_bytes(prefix.try_into().unwrap()) as usize;
+            if len > MAX_FRAME || bytes.len() < self.at + 4 + len {
+                break;
+            }
+            self.at += 4 + len;
+            self.frames += 1;
+        }
+        self.frames
+    }
+}
+
+/// What the shell wrote, and how much of it it had flushed.
+#[derive(Default)]
+struct Sink {
+    bytes: Vec<u8>,
+    flushed: usize,
+}
+
+/// The shell's input.  With an RNG, reads are short at random points
+/// (single bytes included) and some return `Interrupted`; without one,
+/// each read takes all the input that fits.  Before it hands out more
+/// bytes it checks that every complete request it handed out has been
+/// answered and flushed: a client that waits for its replies would stall
+/// otherwise.
+struct ScriptReader {
+    script: Vec<u8>,
+    at: usize,
+    rng: Option<TestRng>,
+    sink: Rc<RefCell<Sink>>,
+    requests: FrameCount,
+    replies: FrameCount,
+}
+
+impl Read for ScriptReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let sink = self.sink.borrow();
+        assert_eq!(
+            self.replies.count(&sink.bytes[..sink.flushed]),
+            self.requests.count(&self.script[..self.at]),
+            "read again while a request waits unanswered or unflushed"
+        );
+        let most = buf.len().min(self.script.len() - self.at) as u64;
+        let n = match &mut self.rng {
+            None => most,
+            Some(rng) => match rng.below(5) {
+                0 => return Err(io::ErrorKind::Interrupted.into()),
+                _ if most == 0 => 0,
+                1 => 1,
+                2 => 1 + rng.below(most.min(8)),
+                3 => 1 + rng.below(most),
+                _ => most,
+            },
+        } as usize;
+        buf[..n].copy_from_slice(&self.script[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// The shell's output.  With an RNG, writes take random short counts and
+/// some return `Interrupted`; without one, each write takes everything.
+struct SinkWriter {
+    sink: Rc<RefCell<Sink>>,
+    rng: Option<TestRng>,
+}
+
+impl Write for SinkWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = match &mut self.rng {
+            None => buf.len(),
+            Some(rng) => match rng.below(5) {
+                0 => return Err(io::ErrorKind::Interrupted.into()),
+                _ if buf.is_empty() => 0,
+                _ => 1 + rng.below(buf.len() as u64) as usize,
+            },
+        };
+        self.sink.borrow_mut().bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let mut sink = self.sink.borrow_mut();
+        sink.flushed = sink.bytes.len();
+        Ok(())
+    }
+}
+
+/// Serve `script` over stdio's shell, splitting its reads and writes with
+/// `rng` when given.  Returns the bytes written, how the session ended and
+/// the store's final stats.
+fn serve_stdio(
+    script: &[u8],
+    mut store: Store,
+    rng: Option<TestRng>,
+) -> (Vec<u8>, SessionEnd, redundancy_sim::ServeStats) {
+    let sink = Rc::new(RefCell::new(Sink::default()));
+    let mut reader = ScriptReader {
+        script: script.to_vec(),
+        at: 0,
+        rng: rng.clone(),
+        sink: Rc::clone(&sink),
+        requests: FrameCount::default(),
+        replies: FrameCount::default(),
+    };
+    let mut writer = SinkWriter {
+        sink: Rc::clone(&sink),
+        rng: rng.map(|mut r| TestRng::new(r.next_u64())),
+    };
+    let end = serve_connection(&mut reader, &mut writer, |req, reply| {
+        handle_request(&mut store, req, reply)
+    })
+    .unwrap();
+    let bytes = std::mem::take(&mut sink.borrow_mut().bytes);
+    (bytes, end, store.stats())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Short reads, short writes and `Interrupted` at random points earn
+    /// the bytes, the end and the store state the whole stream earns.
+    #[test]
+    fn stdio_bytes_survive_short_reads_and_writes(
+        tasks in 4u64..40,
+        seed in 0u64..1_000_000,
+        per_shard in 0u32..2,
+        draws in vec(0u32..1_000_000, 14 * 24 + 2),
+    ) {
+        let script = stdio_script(&draws);
+        let specs = expand_plan(&RealizedPlan::balanced(tasks, 0.5).unwrap());
+        let mode = if per_shard == 1 { StreamMode::PerShard } else { StreamMode::Single };
+        let store = || Store::new(&specs, &campaign(), &ServeConfig::new(2), seed, mode).unwrap();
+        let whole = serve_stdio(&script, store(), None);
+        let split = serve_stdio(&script, store(), Some(TestRng::new(seed)));
+        prop_assert_eq!(split.1, whole.1);
+        prop_assert!(split.0 == whole.0, "the split run wrote other bytes");
+        prop_assert_eq!(split.2, whole.2);
+    }
+}
+
+/// One read that holds more requests than the output cap lets the core
+/// answer at once: the shell writes, answers the rest and flushes before
+/// it reads again.
+#[test]
+fn stdio_answers_every_buffered_frame_before_reading_again() {
+    let specs = expand_plan(&RealizedPlan::balanced(8, 0.5).unwrap());
+    let store = Store::new(
+        &specs,
+        &campaign(),
+        &ServeConfig::new(1),
+        3,
+        StreamMode::Single,
+    )
+    .unwrap();
+    let script = script_frames(&["stats"]).repeat(400);
+    let (bytes, end, _) = serve_stdio(&script, store, None);
+    assert_eq!(end, SessionEnd::Eof);
+    assert_eq!(decode_frames(&bytes).len(), 400);
 }
