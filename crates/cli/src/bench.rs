@@ -13,7 +13,8 @@
 //! the optimizer honest and to make silent semantic drift visible when two
 //! reports disagree on anything but time.
 
-use crate::commands::{CliError, Volunteer};
+use crate::args::BenchArgs;
+use crate::commands::{check_trial_config, CliError, Volunteer};
 use redundancy_core::{AssignmentMinimizing, RealizedPlan};
 use redundancy_json::{num_u64, obj, Json};
 use redundancy_sim::engine::reference;
@@ -829,16 +830,10 @@ fn regressions(
 
 /// Run the benchmark suite, write the JSON report, and gate against the
 /// baseline if one was given.
-pub fn bench(
-    smoke: bool,
-    seed: u64,
-    out: &str,
-    baseline: Option<&str>,
-    threads: usize,
-    chunk_size: u64,
-    reps: Option<u64>,
-) -> Result<String, CliError> {
-    let records = run_fixtures(smoke, seed, threads, chunk_size, reps)?;
+pub fn bench(a: &BenchArgs) -> Result<String, CliError> {
+    let (smoke, seed, out) = (a.smoke, a.seed, &a.out);
+    check_trial_config(1, seed, a.chunk_size, a.threads)?;
+    let records = run_fixtures(smoke, seed, a.threads, a.chunk_size, a.reps)?;
     let body = redundancy_json::to_string_pretty(&report_json(smoke, seed, &records));
     std::fs::write(out, &body).map_err(|e| CliError::Io(e.to_string()))?;
 
@@ -878,7 +873,7 @@ pub fn bench(
     }
     let _ = writeln!(text, "[report written to {out}]");
 
-    if let Some(path) = baseline {
+    if let Some(path) = &a.baseline {
         let doc = std::fs::read_to_string(path).map_err(|e| CliError::Io(e.to_string()))?;
         let parsed = redundancy_json::parse(&doc)
             .map_err(|e| CliError::Invalid(format!("baseline `{path}`: {e}")))?;
@@ -1004,7 +999,16 @@ mod tests {
     fn smoke_bench_writes_valid_report() {
         let path = std::env::temp_dir().join("cli_bench_smoke_test.json");
         let p = path.to_string_lossy().into_owned();
-        let text = bench(true, 7, &p, None, 0, 4, None).unwrap();
+        let mut args = BenchArgs {
+            smoke: true,
+            seed: 7,
+            out: p.clone(),
+            baseline: None,
+            threads: 0,
+            chunk_size: 4,
+            reps: None,
+        };
+        let text = bench(&args).unwrap();
         assert!(text.contains("campaign_batched"), "{text}");
         assert!(text.contains("report written"), "{text}");
         assert!(text.contains("thread scaling: speedup_t2"), "{text}");
@@ -1079,7 +1083,8 @@ mod tests {
             assert_eq!(b.field_str("checksum").unwrap().len(), 16, "{b:?}");
         }
         // Gating a report against itself always passes.
-        let text2 = bench(true, 7, &p, Some(&p), 0, 4, None).unwrap();
+        args.baseline = Some(p.clone());
+        let text2 = bench(&args).unwrap();
         assert!(text2.contains("baseline gate: ok"), "{text2}");
         let _ = std::fs::remove_file(&path);
     }

@@ -1,7 +1,9 @@
 //! Command implementations: each returns the report it would print.
 
-use crate::args::{Command, SchemeName};
-use crate::USAGE;
+use crate::args::{
+    help, AdviseArgs, AnalyzeArgs, CertifyArgs, ChurnArgs, Command, FaultsArgs, JournalInspectArgs,
+    PlanArgs, ReproArgs, SchemeName, ServeArgs, SimulateArgs, SolveSmArgs,
+};
 use redundancy_core::{
     advise, certify_sweep, AssignmentMinimizing, CoreError, ExtendedBalanced, RealizedPlan,
     Requirements, Scheme,
@@ -86,232 +88,39 @@ fn build_plan(
 }
 
 /// Dispatch a parsed command.
-pub fn dispatch(command: &Command) -> Result<String, CliError> {
+pub(crate) fn dispatch(command: &Command) -> Result<String, CliError> {
     match command {
         Command::Help { topic } => Ok(help(topic.as_deref())),
-        Command::Plan {
-            scheme,
-            tasks,
-            epsilon,
-            min_multiplicity,
-            proportion,
-            json,
-        } => plan(
-            *scheme,
-            *tasks,
-            *epsilon,
-            *min_multiplicity,
-            *proportion,
-            json.as_deref(),
-        ),
-        Command::Analyze {
-            scheme,
-            tasks,
-            epsilon,
-            proportion,
-        } => analyze(*scheme, *tasks, *epsilon, *proportion),
-        Command::Advise {
-            tasks,
-            epsilon,
-            adversary,
-            precompute_budget,
-            min_multiplicity,
-        } => advise_cmd(
-            *tasks,
-            *epsilon,
-            *adversary,
-            *precompute_budget,
-            *min_multiplicity,
-        ),
-        Command::Simulate {
-            scheme,
-            tasks,
-            epsilon,
-            proportion,
-            campaigns,
-            seed,
-            chunk_size,
-            threads,
-            sampler,
-        } => simulate(
-            *scheme,
-            *tasks,
-            *epsilon,
-            *proportion,
-            *campaigns,
-            *seed,
-            *chunk_size,
-            *threads,
-            *sampler,
-        ),
-        Command::SolveSm {
-            tasks,
-            epsilon,
-            dim,
-            min_precompute,
-            mps,
-        } => solve_sm(*tasks, *epsilon, *dim, *min_precompute, mps.as_deref()),
-        Command::Faults {
-            scheme,
-            tasks,
-            epsilon,
-            proportion,
-            campaigns,
-            seed,
-            drop_rate,
-            straggler_rate,
-            straggler_delay,
-            timeout,
-            retries,
-            steps,
-            chunk_size,
-            threads,
-        } => faults_sweep(
-            *scheme,
-            *tasks,
-            *epsilon,
-            *proportion,
-            *campaigns,
-            *seed,
-            *drop_rate,
-            *straggler_rate,
-            *straggler_delay,
-            *timeout,
-            *retries,
-            *steps,
-            *chunk_size,
-            *threads,
-        ),
-        Command::Churn {
-            scheme,
-            tasks,
-            epsilon,
-            proportion,
-            campaigns,
-            seed,
-            enter_rate,
-            leave_rate,
-            fail_rate,
-            workers,
-            horizon,
-            census_interval,
-            steps,
-            chunk_size,
-            threads,
-            soak,
-        } => {
-            if *soak {
-                churn_soak_cmd(*workers, *horizon, *tasks, *seed)
-            } else {
-                churn_sweep(
-                    *scheme,
-                    *tasks,
-                    *epsilon,
-                    *proportion,
-                    *campaigns,
-                    *seed,
-                    *enter_rate,
-                    *leave_rate,
-                    *fail_rate,
-                    *workers,
-                    *horizon,
-                    *census_interval,
-                    *steps,
-                    *chunk_size,
-                    *threads,
-                )
-            }
-        }
-        Command::Serve {
-            scheme,
-            tasks,
-            epsilon,
-            proportion,
-            seed,
-            shards,
-            timeout,
-            retries,
-            port,
-            clients,
-            stdio,
-            streams,
-            json,
-            journal,
-            sync,
-            recover,
-        } => serve_cmd(
-            *scheme,
-            *tasks,
-            *epsilon,
-            *proportion,
-            *seed,
-            *shards,
-            *timeout,
-            *retries,
-            *port,
-            *clients,
-            *stdio,
-            *streams,
-            json.clone(),
-            journal.clone(),
-            *sync,
-            *recover,
-        ),
-        Command::JournalInspect { journal } => journal_inspect(journal),
-        Command::Certify {
-            tasks,
-            epsilon,
-            max_dim,
-        } => certify(*tasks, *epsilon, *max_dim),
-        Command::Bench {
-            smoke,
-            seed,
-            out,
-            baseline,
-            threads,
-            chunk_size,
-            reps,
-        } => {
-            check_trial_config(1, *seed, *chunk_size, *threads)?;
-            crate::bench::bench(
-                *smoke,
-                *seed,
-                out,
-                baseline.as_deref(),
-                *threads,
-                *chunk_size,
-                *reps,
-            )
-        }
-        Command::Repro {
-            exhibit,
-            list,
-            all,
-            json,
-            ctx,
-        } => repro(exhibit.as_deref(), *list, *all, json.as_deref(), ctx),
+        Command::Plan(a) => plan(a),
+        Command::Analyze(a) => analyze(a),
+        Command::Advise(a) => advise_cmd(a),
+        Command::Simulate(a) => simulate(a),
+        Command::SolveSm(a) => solve_sm(a),
+        Command::Faults(a) => faults_sweep(a),
+        Command::Churn(a) if a.soak => churn_soak_cmd(a),
+        Command::Churn(a) => churn_sweep(a),
+        Command::Serve(a) => serve_cmd(a),
+        Command::JournalInspect(a) => journal_inspect(a),
+        Command::Certify(a) => certify(a),
+        Command::Bench(a) => crate::bench::bench(a),
+        Command::Repro(a) => repro(a),
     }
 }
 
 /// `redundancy repro`: the unified front door to the exhibit registry.
-fn repro(
-    exhibit: Option<&str>,
-    list: bool,
-    all: bool,
-    json: Option<&str>,
-    ctx: &redundancy_repro::ExhibitCtx,
-) -> Result<String, CliError> {
+fn repro(a: &ReproArgs) -> Result<String, CliError> {
     use redundancy_json::to_string_pretty;
 
-    if list {
+    let (exhibit, json, ctx) = (a.exhibit.as_deref(), a.json.as_deref(), &a.ctx);
+    if a.list {
         return Ok(redundancy_repro::render_index());
     }
-    if all && exhibit.is_some() {
+    if a.all && exhibit.is_some() {
         return Err(CliError::Invalid(
             "`repro --all` runs every exhibit; drop the exhibit name".into(),
         ));
     }
-    if all {
+    if a.all {
         // Batch mode: one status line per exhibit on stdout; with --json,
         // one repro-report/v1 document per exhibit under the directory.
         if let Some(dir) = json {
@@ -385,7 +194,7 @@ fn repro(
 /// Reject CLI-supplied trial-runner parameters that `run_trials` would only
 /// catch with a debug assertion, naming the flag so `main` can exit with
 /// code 2.
-fn check_trial_config(
+pub(crate) fn check_trial_config(
     campaigns: u64,
     seed: u64,
     chunk_size: u64,
@@ -402,222 +211,24 @@ fn check_trial_config(
     .map_err(|e| CliError::Invalid(format!("--{}: {e}", e.field.replace('_', "-"))))
 }
 
-fn help(topic: Option<&str>) -> String {
-    match topic {
-        Some("plan") => "\
-redundancy plan --tasks <N> --epsilon <E> [--scheme S] [--min-multiplicity M]
-                [--proportion P] [--json PATH]
-
-Builds a deployable integer plan (floored buckets, tail partition, ringers).
-With --proportion, the threshold is boosted so the guarantee holds against an
-adversary controlling that share of assignments (Proposition 3).
-"
-        .into(),
-        Some("analyze") => "\
-redundancy analyze --tasks <N> --epsilon <E> [--scheme S] [--proportion P]
-
-Prints per-tuple-size detection probabilities and cost metrics.
-"
-        .into(),
-        Some("advise") => "\
-redundancy advise --tasks <N> --epsilon <E> [--adversary P]
-                  [--precompute-budget B] [--min-multiplicity M]
-
-Picks the cheapest scheme meeting the requirements and explains why.
-"
-        .into(),
-        Some("simulate") => "\
-redundancy simulate --tasks <N> --epsilon <E> [--scheme S] [--proportion P]
-                    [--campaigns C] [--seed SEED] [--chunk-size K]
-                    [--threads T] [--sampler bit-compat|fast]
-
-Runs full Monte-Carlo campaigns (assignment, collusion, verification) and
-reports empirical detection rates with Wilson 95% intervals.  --chunk-size
-sets how many campaigns share one derived RNG seed (must be positive);
---threads pins the worker count (0 = auto).  Results are identical for any
-thread count at a fixed chunk size.  --sampler picks the draw backend:
-bit-compat (default) replays the snapshot-exact inversion walk; fast swaps
-in O(1) Walker alias tables — same distributions and determinism, but a
-different RNG stream, so rates match statistically rather than bit for bit.
-"
-        .into(),
-        Some("faults") => "\
-redundancy faults --tasks <N> --epsilon <E> [--scheme S] [--proportion P]
-                  [--campaigns C] [--seed SEED] [--drop-rate R] [--steps K]
-                  [--straggler-rate R] [--straggler-delay D]
-                  [--timeout T] [--retries M] [--chunk-size K] [--threads T]
-
-Sweeps per-assignment drop rates from 0 to --drop-rate in K steps and
-reports how empirical detection, delivery rate, and effective multiplicity
-degrade — and how much the retry/reassignment budget recovers.  The rows
-run concurrently on one worker pool; --threads caps the total budget shared
-by the pool and each row's campaigns (0 = auto).  All latency is abstract
-ticks; results are deterministic for a fixed seed and identical across
-thread counts.
-"
-        .into(),
-        Some("churn") => "\
-redundancy churn [--tasks <N>] [--epsilon <E>] [--scheme S] [--proportion P]
-                 [--campaigns C] [--seed SEED] [--enter-rate R]
-                 [--leave-rate R] [--fail-rate R] [--workers W]
-                 [--horizon T] [--census-interval T] [--steps K]
-                 [--chunk-size K] [--threads T]
-redundancy churn --soak [--workers W] [--horizon T] [--tasks N] [--seed SEED]
-
-Sweeps per-worker departure rates from 0 to --leave-rate in K steps under
-the discrete-event population engine: workers arrive at --enter-rate per
-tick, departures hand their copies to surviving workers, failures destroy
-them, and census checkpoints rerun the campaign kernel over the degraded
-live multiset.  Row 0 is the fully static pool, which degenerates to the
-churn-free kernel bit for bit.  The rows run concurrently on one worker
-pool; --threads caps the shared budget (omit for auto; an explicit 0 is
-rejected).  Results are deterministic for a fixed seed and identical
-across thread counts.
-
---soak instead runs one long single-trial stress of the event loop at the
-canonical soak hazards (0.9 arrivals/tick; per-worker leave and failure
-hazards scaled so the population stays near --workers) and prints event
-counters plus a determinism checksum: two same-seed runs must print
-identical bytes.
-"
-        .into(),
-        Some("serve") => "\
-redundancy serve [--tasks <N>] [--epsilon <E>] [--scheme S] [--proportion P]
-                 [--seed SEED] [--shards K] [--timeout T] [--retries M]
-                 [--streams single|per-shard] [--json PATH]
-                 [--journal PATH [--sync always|batch|off] [--recover]]
-                 [--stdio | --clients C [--port PORT] | --port PORT]
-
-Runs the live supervisor: a sharded in-memory assignment store that deals
-task copies on demand in the batched kernel's exact RNG order, tracks them
-in flight with tick-based timeouts (the tick clock advances one per
-request), judges returns incrementally, and answers the length-prefixed
-protocol (`request-work`, `return-result <task> <copy>`, `stats`,
-`shutdown`; see EXPERIMENTS.md for a transcript).
-
-With no transport flag the store is drained in process and the stats dump
-is printed along with the oracle verdict.  --stdio speaks the framed
-protocol over stdin/stdout (deterministic, scriptable).  --clients C
-drains the store through C concurrent TCP clients against a listener on
---port (OS-assigned when omitted) and prints the final stats dump —
-byte-identical across runs of the same seed whenever no timeout fires
-(pass a large --timeout to guarantee that).  --port alone runs the daemon
-until a client sends `shutdown`.  Both TCP modes run on one epoll
-readiness loop thread, so they need Linux; --stdio runs anywhere.
---clients and --shards are at most 1024.  --shards sets the store's shard
-count; --timeout/--retries set the re-issue policy.
-
---streams single (default) deals every copy from one session RNG: a
-drained session is bit-identical to `run_campaign` on the same seed at
-any shard count (the batched-kernel oracle).  --streams per-shard gives
-each shard its own derived RNG stream; the drained outcome is then a pure
-function of (seed, shard count) — invariant to the client count and
-request interleaving — and is checked against a shard-by-shard drain (the
-sharded-stream oracle).  Both oracles model a drain no timeout interrupts,
-so once a timeout fires the report says they do not apply.  --json PATH
-(per-shard only) writes a serve-report/v1 document with session totals
-and per-shard stats cells.
-
---journal PATH appends every state-mutating event (issue, return, tick,
-timeout-requeue, shutdown) to a checksummed append-only log; --sync picks
-the fsync policy (always per record, batch every 8 KiB — the default —
-or off).  After a crash, rerun the same command line with --recover: the
-journal's verified prefix is replayed to a bit-identical store (a torn
-trailing record is truncated away), surviving in-flight copies are
-re-queued, and the session resumes appending — a recovered-then-drained
-run prints the same stats and report as an uninterrupted one.  A
-journaled run's report ends with the journal replay oracle, which holds
-under every schedule: the finished journal must replay to the live
-store.  The journal is flushed even when the transport fails.  See
-`redundancy help journal-inspect` for offline inspection.
-"
-        .into(),
-        Some("journal-inspect") => "\
-redundancy journal-inspect --journal <PATH>
-
-Lists a serve journal's records (one line per record, decoded) and prints
-an integrity verdict: `intact` when every record's checksum chain
-verifies to the last byte, or `TORN` naming the structured error and the
-number of unverified trailing bytes when the file ends in a torn write.
-A journal whose verified prefix is unusable (bad magic, missing header,
-mid-file corruption) is an error.  Inspection is workload-independent;
-replay verification against the task set happens in `serve --recover`.
-"
-        .into(),
-        Some("solve-sm") => "\
-redundancy solve-sm --tasks <N> --epsilon <E> --dim <M>
-                    [--min-precompute] [--mps PATH]
-
-Solves the assignment-minimizing LP S_m; --min-precompute applies the
-lexicographic refinement; --mps exports the LP in MPS format.
-"
-        .into(),
-        Some("certify") => "\
-redundancy certify [--tasks <N>] [--epsilon <E>] [--max-dim M]
-
-Re-solves S_m for every m from 2 to M in exact rational arithmetic and
-checks the four optimality conditions (primal and dual feasibility,
-complementary slackness, strong duality) in \u{211a}, then cross-checks the
-certified optimum against the f64 simplex.  Defaults reproduce the
-Figure 2 setting (N = 100,000, eps = 0.5).
-"
-        .into(),
-        Some("bench") => "\
-redundancy bench [--smoke] [--seed SEED] [--out PATH] [--baseline PATH]
-                 [--threads T] [--chunk-size K] [--reps N]
-
-Runs the pinned performance fixtures (batched and alias-table campaign
-kernels vs the frozen reference loop, cached/walking/alias samplers,
-run_trials thread scaling, a parallel sweep, a discrete-event churn soak,
-the live-serve protocol loop, an S_m LP sweep) and writes a
-`redundancy-bench/v1` JSON
-report (default BENCH_report.json) with per-fixture median wall time,
-tasks/sec, assignments/sec, and a determinism checksum, plus top-level
-speedup_t2/speedup_t4 parallel-efficiency fields.  --threads caps the
-scaling ladder (0 = the full 1/2/4); --chunk-size sets the run_trials
-fixtures' chunk size; --reps N overrides every fixture's repetition count
-(must be positive — useful for quick one-rep sanity passes).  --smoke
-shrinks the fixtures for CI; --baseline compares medians against a
-previous report and exits with code 2 if any fixture regressed beyond 2x.
-"
-        .into(),
-        Some("repro") => "\
-redundancy repro <EXHIBIT> [--seed SEED] [--csv PATH] [--trials-scale K]
-                 [--threads T] [--json PATH]
-redundancy repro --list
-redundancy repro --all [--json DIR] [shared flags]
-
-Regenerates the paper's tables and figures from the exhibit registry.  A
-single exhibit prints exactly what its legacy standalone binary prints
-(byte-identical, pinned by the golden snapshots); --json additionally
-writes a `repro-report/v1` JSON document (see docs/REPORTS.md).  --list
-prints the registry index; --all runs every exhibit, writing one JSON
-document per exhibit when --json names a directory.  --trials-scale
-multiplies Monte-Carlo effort (must be positive); --threads caps the
-worker budget (0 = auto) and never changes the output bytes.
-"
-        .into(),
-        _ => USAGE.into(),
-    }
-}
-
-fn plan(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    min_multiplicity: Option<usize>,
-    proportion: f64,
-    json: Option<&str>,
-) -> Result<String, CliError> {
-    let plan = build_plan(scheme, tasks, epsilon, min_multiplicity, proportion)?;
+fn plan(a: &PlanArgs) -> Result<String, CliError> {
+    let plan = build_plan(
+        a.scheme,
+        a.tasks,
+        a.epsilon,
+        a.min_multiplicity,
+        a.proportion,
+    )?;
     let mut out = String::new();
-    let _ = writeln!(out, "plan: {} over {} tasks", plan.scheme(), inum(tasks));
+    let _ = writeln!(out, "plan: {} over {} tasks", plan.scheme(), inum(a.tasks));
     let _ = writeln!(
         out,
-        "guarantee: detection >= {epsilon} for every tuple size{}",
-        if proportion > 0.0 {
+        "guarantee: detection >= {} for every tuple size{}",
+        a.epsilon,
+        if a.proportion > 0.0 {
             format!(
-                " up to adversary share {proportion} (threshold boosted to {:.4})",
+                " up to adversary share {} (threshold boosted to {:.4})",
+                a.proportion,
                 plan.epsilon()
             )
         } else {
@@ -647,7 +258,7 @@ fn plan(
         plan.effective_detection(0.0)?,
         plan.effective_detection(0.1)?
     );
-    if let Some(path) = json {
+    if let Some(path) = &a.json {
         let body = redundancy_json::to_string_pretty(&plan);
         std::fs::write(path, body).map_err(|e| CliError::Io(e.to_string()))?;
         let _ = writeln!(out, "[plan written to {path}]");
@@ -655,20 +266,16 @@ fn plan(
     Ok(out)
 }
 
-fn analyze(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    proportion: f64,
-) -> Result<String, CliError> {
-    let plan = build_plan(scheme, tasks, epsilon, None, 0.0)?;
+fn analyze(a: &AnalyzeArgs) -> Result<String, CliError> {
+    let (epsilon, proportion) = (a.epsilon, a.proportion);
+    let plan = build_plan(a.scheme, a.tasks, epsilon, None, 0.0)?;
     let profile = plan.detection_profile();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "analysis: {} at eps = {epsilon}, N = {}",
         plan.scheme(),
-        inum(tasks)
+        inum(a.tasks)
     );
     let mut table = Table::new(&["k", "P_k (asymptotic)", &format!("P_k at p = {proportion}")]);
     table.numeric();
@@ -702,19 +309,13 @@ fn analyze(
     Ok(out)
 }
 
-fn advise_cmd(
-    tasks: u64,
-    epsilon: f64,
-    adversary: f64,
-    precompute_budget: u64,
-    min_multiplicity: Option<usize>,
-) -> Result<String, CliError> {
+fn advise_cmd(a: &AdviseArgs) -> Result<String, CliError> {
     let req = Requirements {
-        n_tasks: tasks,
-        epsilon,
-        max_adversary_proportion: adversary,
-        precompute_budget,
-        min_multiplicity,
+        n_tasks: a.tasks,
+        epsilon: a.epsilon,
+        max_adversary_proportion: a.adversary,
+        precompute_budget: a.precompute_budget,
+        min_multiplicity: a.min_multiplicity,
     };
     let advice = advise(&req)?;
     let mut out = String::new();
@@ -727,47 +328,38 @@ fn advise_cmd(
     );
     let _ = writeln!(
         out,
-        "  delivers detection {:.4} up to adversary share {adversary}",
-        advice.effective_detection
+        "  delivers detection {:.4} up to adversary share {}",
+        advice.effective_detection, a.adversary
     );
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    proportion: f64,
-    campaigns: u64,
-    seed: u64,
-    chunk_size: u64,
-    threads: usize,
-    sampler: SamplerMode,
-) -> Result<String, CliError> {
-    check_trial_config(campaigns, seed, chunk_size, threads)?;
-    let plan = build_plan(scheme, tasks, epsilon, None, 0.0)?;
+fn simulate(a: &SimulateArgs) -> Result<String, CliError> {
+    check_trial_config(a.campaigns, a.seed, a.chunk_size, a.threads)?;
+    let plan = build_plan(a.scheme, a.tasks, a.epsilon, None, 0.0)?;
     let config = ExperimentConfig {
-        chunk_size,
-        threads,
-        sampler,
-        ..ExperimentConfig::new(campaigns, seed)
+        chunk_size: a.chunk_size,
+        threads: a.threads,
+        sampler: a.sampler,
+        ..ExperimentConfig::new(a.campaigns, a.seed)
     };
     let est = detection_experiment(
         &plan,
-        AdversaryModel::AssignmentFraction { p: proportion },
+        AdversaryModel::AssignmentFraction { p: a.proportion },
         CheatStrategy::AtLeast { min_copies: 1 },
         &config,
     );
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "simulated {} campaigns of {} ({} tasks each, adversary share {proportion}, seed {seed})",
-        campaigns,
+        "simulated {} campaigns of {} ({} tasks each, adversary share {}, seed {})",
+        a.campaigns,
         plan.scheme(),
-        inum(tasks)
+        inum(a.tasks),
+        a.proportion,
+        a.seed
     );
-    if sampler == SamplerMode::Fast {
+    if a.sampler == SamplerMode::Fast {
         // Only the non-default mode announces itself, so bit-compat output
         // stays byte-stable for scripts diffing against old runs.
         let _ = writeln!(
@@ -805,41 +397,29 @@ fn simulate(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn faults_sweep(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    proportion: f64,
-    campaigns: u64,
-    seed: u64,
-    drop_rate: f64,
-    straggler_rate: f64,
-    straggler_delay: f64,
-    timeout: u64,
-    retries: u32,
-    steps: u32,
-    chunk_size: u64,
-    threads: usize,
-) -> Result<String, CliError> {
-    check_trial_config(campaigns, seed, chunk_size, threads)?;
-    let plan = build_plan(scheme, tasks, epsilon, None, 0.0)?;
+fn faults_sweep(a: &FaultsArgs) -> Result<String, CliError> {
+    check_trial_config(a.campaigns, a.seed, a.chunk_size, a.threads)?;
+    let plan = build_plan(a.scheme, a.tasks, a.epsilon, None, 0.0)?;
     let campaign = CampaignConfig::new(
-        AdversaryModel::AssignmentFraction { p: proportion },
+        AdversaryModel::AssignmentFraction { p: a.proportion },
         CheatStrategy::AtLeast { min_copies: 1 },
     );
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "fault sweep: {} over {} tasks, {campaigns} campaigns/row, adversary share {proportion}, seed {seed}",
+        "fault sweep: {} over {} tasks, {} campaigns/row, adversary share {}, seed {}",
         plan.scheme(),
-        inum(tasks)
+        inum(a.tasks),
+        a.campaigns,
+        a.proportion,
+        a.seed
     );
     let _ = writeln!(
         out,
-        "timeout {timeout} ticks, {retries} retries, straggler rate {straggler_rate} (mean delay {straggler_delay})"
+        "timeout {} ticks, {} retries, straggler rate {} (mean delay {})",
+        a.timeout, a.retries, a.straggler_rate, a.straggler_delay
     );
-    let expect = 1.0 - (1.0 - plan.epsilon()).powf(1.0 - proportion);
+    let expect = 1.0 - (1.0 - plan.epsilon()).powf(1.0 - a.proportion);
     let _ = writeln!(
         out,
         "closed-form detection with lossless delivery: {:.4}",
@@ -859,23 +439,23 @@ fn faults_sweep(
     // sweep pool; each row's experiment takes the leftover thread share.
     // Row seeds are fixed, so the table matches the serial loop exactly.
     let mut rows: Vec<(f64, FaultModel)> = Vec::new();
-    for step in 0..=steps {
-        let rate = drop_rate * f64::from(step) / f64::from(steps);
+    for step in 0..=a.steps {
+        let rate = a.drop_rate * f64::from(step) / f64::from(a.steps);
         let faults = FaultModel {
             drop_rate: rate,
-            straggler_rate,
-            straggler_mean_delay: straggler_delay,
-            timeout,
-            max_retries: retries,
+            straggler_rate: a.straggler_rate,
+            straggler_mean_delay: a.straggler_delay,
+            timeout: a.timeout,
+            max_retries: a.retries,
             ..FaultModel::none()
         };
         faults.validate().map_err(CliError::Invalid)?;
         rows.push((rate, faults));
     }
-    let (outer, inner) = sweep_thread_split(threads, rows.len());
+    let (outer, inner) = sweep_thread_split(a.threads, rows.len());
     let config = ExperimentConfig {
-        chunk_size,
-        ..ExperimentConfig::new(campaigns, seed)
+        chunk_size: a.chunk_size,
+        ..ExperimentConfig::new(a.campaigns, a.seed)
     }
     .with_threads(inner);
     let estimates = parallel_sweep(outer, &rows, |_i, (_rate, faults)| {
@@ -910,45 +490,33 @@ raise --retries or the timeout to recover it)"
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn churn_sweep(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    proportion: f64,
-    campaigns: u64,
-    seed: u64,
-    enter_rate: f64,
-    leave_rate: f64,
-    fail_rate: f64,
-    workers: u64,
-    horizon: u64,
-    census_interval: u64,
-    steps: u32,
-    chunk_size: u64,
-    threads: usize,
-) -> Result<String, CliError> {
-    check_trial_config(campaigns, seed, chunk_size, threads)?;
-    let plan = build_plan(scheme, tasks, epsilon, None, 0.0)?;
+fn churn_sweep(a: &ChurnArgs) -> Result<String, CliError> {
+    check_trial_config(a.campaigns, a.seed, a.chunk_size, a.threads)?;
+    let plan = build_plan(a.scheme, a.tasks, a.epsilon, None, 0.0)?;
     let campaign = CampaignConfig::new(
-        AdversaryModel::AssignmentFraction { p: proportion },
+        AdversaryModel::AssignmentFraction { p: a.proportion },
         CheatStrategy::AtLeast { min_copies: 1 },
     );
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "churn sweep: {} over {} tasks, {campaigns} campaigns/row, adversary share {proportion}, seed {seed}",
+        "churn sweep: {} over {} tasks, {} campaigns/row, adversary share {}, seed {}",
         plan.scheme(),
-        inum(tasks)
+        inum(a.tasks),
+        a.campaigns,
+        a.proportion,
+        a.seed
     );
     let _ = writeln!(
         out,
-        "{} initial workers, horizon {} ticks, census every {} ticks, arrival rate {enter_rate}, failure rate {fail_rate}",
-        inum(workers),
-        inum(horizon),
-        inum(census_interval)
+        "{} initial workers, horizon {} ticks, census every {} ticks, arrival rate {}, failure rate {}",
+        inum(a.workers),
+        inum(a.horizon),
+        inum(a.census_interval),
+        a.enter_rate,
+        a.fail_rate
     );
-    let expect = 1.0 - (1.0 - plan.epsilon()).powf(1.0 - proportion);
+    let expect = 1.0 - (1.0 - plan.epsilon()).powf(1.0 - a.proportion);
     let _ = writeln!(
         out,
         "closed-form detection with a static pool: {:.4}",
@@ -959,23 +527,23 @@ fn churn_sweep(
     // Row 0 is the fully static pool (all rates zero), so it exercises the
     // zero-churn delegation path and anchors the table at the closed form.
     let mut rows: Vec<(f64, ChurnModel)> = Vec::new();
-    for step in 0..=steps {
-        let rate = leave_rate * f64::from(step) / f64::from(steps);
+    for step in 0..=a.steps {
+        let rate = a.leave_rate * f64::from(step) / f64::from(a.steps);
         let churn = ChurnModel {
-            enter_rate: if step == 0 { 0.0 } else { enter_rate },
+            enter_rate: if step == 0 { 0.0 } else { a.enter_rate },
             leave_rate: rate,
-            fail_rate: if step == 0 { 0.0 } else { fail_rate },
-            initial_workers: workers,
-            horizon,
-            census_interval,
+            fail_rate: if step == 0 { 0.0 } else { a.fail_rate },
+            initial_workers: a.workers,
+            horizon: a.horizon,
+            census_interval: a.census_interval,
         };
         churn.validate().map_err(CliError::Invalid)?;
         rows.push((rate, churn));
     }
-    let (outer, inner) = sweep_thread_split(threads, rows.len());
+    let (outer, inner) = sweep_thread_split(a.threads, rows.len());
     let config = ExperimentConfig {
-        chunk_size,
-        ..ExperimentConfig::new(campaigns, seed)
+        chunk_size: a.chunk_size,
+        ..ExperimentConfig::new(a.campaigns, a.seed)
     }
     .with_threads(inner);
     let estimates = parallel_sweep(outer, &rows, |_i, (_rate, churn)| {
@@ -1025,17 +593,18 @@ inflates; failures destroy copies and eat into the detection guarantee)"
 /// `redundancy churn --soak`: a single-trial event-loop stress run at the
 /// canonical soak hazards, printing the deterministic checksum so two
 /// same-seed runs can be compared byte for byte.
-fn churn_soak_cmd(workers: u64, horizon: u64, tasks: u64, seed: u64) -> Result<String, CliError> {
-    let churn = ChurnModel::soak(workers, horizon);
+fn churn_soak_cmd(a: &ChurnArgs) -> Result<String, CliError> {
+    let churn = ChurnModel::soak(a.workers, a.horizon);
     churn.validate().map_err(CliError::Invalid)?;
-    let report = churn_soak(&churn, tasks, seed);
+    let report = churn_soak(&churn, a.tasks, a.seed);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "churn soak: {} initial workers, horizon {} ticks, {} tasks, seed {seed}",
-        inum(workers),
-        inum(horizon),
-        inum(tasks)
+        "churn soak: {} initial workers, horizon {} ticks, {} tasks, seed {}",
+        inum(a.workers),
+        inum(a.horizon),
+        inum(a.tasks),
+        a.seed
     );
     let _ = writeln!(
         out,
@@ -1157,54 +726,36 @@ impl Backend {
 /// default in-process drain that also checks the matching oracle.  Both
 /// TCP transports run on the epoll readiness loop (Linux only), and
 /// `--streams per-shard` gives each shard its own RNG stream.
-#[allow(clippy::too_many_arguments)]
-fn serve_cmd(
-    scheme: SchemeName,
-    tasks: u64,
-    epsilon: f64,
-    proportion: f64,
-    seed: u64,
-    shards: usize,
-    timeout: u64,
-    retries: u32,
-    port: Option<u16>,
-    clients: usize,
-    stdio: bool,
-    streams: StreamMode,
-    json: Option<String>,
-    journal: Option<String>,
-    sync: SyncPolicy,
-    recover: bool,
-) -> Result<String, CliError> {
-    let plan = build_plan(scheme, tasks, epsilon, None, 0.0)?;
+fn serve_cmd(a: &ServeArgs) -> Result<String, CliError> {
+    let plan = build_plan(a.scheme, a.tasks, a.epsilon, None, 0.0)?;
     let campaign = CampaignConfig::new(
-        AdversaryModel::AssignmentFraction { p: proportion },
+        AdversaryModel::AssignmentFraction { p: a.proportion },
         CheatStrategy::AtLeast { min_copies: 1 },
     );
     let serve = ServeConfig {
         faults: FaultModel {
-            timeout,
-            max_retries: retries,
+            timeout: a.timeout,
+            max_retries: a.retries,
             ..FaultModel::none()
         },
-        ..ServeConfig::new(shards)
+        ..ServeConfig::new(a.shards)
     };
-    if (clients > 0 || port.is_some()) && !epoll::available() {
+    if (a.clients > 0 || a.port.is_some()) && !epoll::available() {
         return Err(CliError::Invalid(format!(
             "{} serves TCP on the epoll readiness loop, which this platform ({}) lacks; \
              use --stdio",
-            if clients > 0 { "--clients" } else { "--port" },
+            if a.clients > 0 { "--clients" } else { "--port" },
             std::env::consts::OS
         )));
     }
-    if json.is_some() && streams != StreamMode::PerShard {
+    if a.json.is_some() && a.streams != StreamMode::PerShard {
         return Err(CliError::Invalid(
             "--json requires --streams per-shard (the report's per_shard array \
              comes from the sharded store)"
                 .into(),
         ));
     }
-    if json.is_some() && stdio {
+    if a.json.is_some() && a.stdio {
         return Err(CliError::Invalid(
             "--json is not available with --stdio (the protocol owns stdout)".into(),
         ));
@@ -1213,17 +764,9 @@ fn serve_cmd(
     // O(groups), and the store's task limit is checked before anything per
     // task is allocated.
     let groups = plan_groups(&plan);
-    let (mut backend, recovery) = make_backend(
-        &groups,
-        &campaign,
-        &serve,
-        seed,
-        streams,
-        journal.as_deref(),
-        sync,
-        recover,
-    )?;
-    if stdio {
+    let (mut backend, recovery) = make_backend(a, &groups, &campaign, &serve)?;
+    let (seed, journal) = (a.seed, a.journal.as_deref());
+    if a.stdio {
         // The protocol owns stdout, so the report string stays empty.
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
@@ -1233,46 +776,52 @@ fn serve_cmd(
             .map(drop)
             .map_err(|e| format!("stdio transport: {e}"));
         // A journal append failure still surfaces, even with no report.
-        backend.finish(served, journal.as_deref())?;
+        backend.finish(served, journal)?;
         return Ok(String::new());
     }
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "serve: {} over {} tasks, {shards} shard(s), adversary share {proportion}, seed {seed}",
+        "serve: {} over {} tasks, {} shard(s), adversary share {}, seed {seed}",
         plan.scheme(),
-        inum(tasks),
+        inum(a.tasks),
+        a.shards,
+        a.proportion,
     );
-    let _ = writeln!(out, "timeout {timeout} ticks, {retries} retries per copy");
-    if streams == StreamMode::PerShard {
+    let _ = writeln!(
+        out,
+        "timeout {} ticks, {} retries per copy",
+        a.timeout, a.retries
+    );
+    if a.streams == StreamMode::PerShard {
         let _ = writeln!(out, "streams per-shard: one derived RNG stream per shard");
     }
-    let run = if clients > 0 {
-        let served = serve_tcp_drive(&mut backend, port, clients);
-        let run = backend.finish(served, journal.as_deref())?;
-        let _ = writeln!(out, "drained by {clients} concurrent TCP clients");
+    let run = if a.clients > 0 {
+        let served = serve_tcp_drive(&mut backend, a.port, a.clients);
+        let run = backend.finish(served, journal)?;
+        let _ = writeln!(out, "drained by {} concurrent TCP clients", a.clients);
         out.push_str(&run.stats.render());
         if let Some(store) = &run.store {
             append_sharded_oracle_verdict(&mut out, &groups, &campaign, &serve, seed, store);
-            if let Some(path) = &json {
-                write_serve_json(path, &plan, seed, clients, store, run.journal.as_ref())?;
+            if let Some(path) = &a.json {
+                write_serve_json(path, &plan, seed, a.clients, store, run.journal.as_ref())?;
             }
         }
         run
-    } else if let Some(port) = port {
+    } else if let Some(port) = a.port {
         let served = serve_tcp_daemon(&mut backend, port);
-        let run = backend.finish(served, journal.as_deref())?;
+        let run = backend.finish(served, journal)?;
         out.push_str(&run.stats.render());
-        if let (Some(path), Some(store)) = (&json, &run.store) {
+        if let (Some(path), Some(store)) = (&a.json, &run.store) {
             write_serve_json(path, &plan, seed, 0, store, run.journal.as_ref())?;
         }
         run
     } else {
         // Default: drain in process and check the flavor's oracle.
         backend.drain();
-        let run = backend.finish(Ok(()), journal.as_deref())?;
+        let run = backend.finish(Ok(()), journal)?;
         out.push_str(&run.stats.render());
-        match streams {
+        match a.streams {
             StreamMode::Single => {
                 // The batched-kernel oracle: the drained session must be
                 // bit-identical to the batch kernel on the same seed.
@@ -1295,7 +844,7 @@ fn serve_cmd(
                 // contract).
                 let store = run.store.as_ref().expect("per-shard run keeps its store");
                 append_sharded_oracle_verdict(&mut out, &groups, &campaign, &serve, seed, store);
-                if let Some(path) = &json {
+                if let Some(path) = &a.json {
                     write_serve_json(path, &plan, seed, 0, store, run.journal.as_ref())?;
                 }
             }
@@ -1309,29 +858,25 @@ fn serve_cmd(
 /// Build the serve backend, creating or recovering the journal when
 /// `--journal` is given.  Returns the backend plus the recovery notes
 /// when `--recover` replayed an existing journal.
-#[allow(clippy::too_many_arguments)]
 fn make_backend(
+    a: &ServeArgs,
     groups: &[SpecGroup],
     campaign: &CampaignConfig,
     serve: &ServeConfig,
-    seed: u64,
-    streams: StreamMode,
-    journal: Option<&str>,
-    sync: SyncPolicy,
-    recover: bool,
 ) -> Result<(Backend, Option<Recovery>), CliError> {
-    if let (Some(path), true) = (journal, recover) {
-        return recover_backend(groups, campaign, serve, seed, streams, path, sync);
+    let (seed, streams) = (a.seed, a.streams);
+    if let (Some(path), true) = (&a.journal, a.recover) {
+        return recover_backend(groups, campaign, serve, seed, streams, path, a.sync);
     }
     // The store first: a workload it refuses leaves no journal behind.
     let store =
         Store::from_groups(groups, campaign, serve, seed, streams).map_err(CliError::Invalid)?;
-    let Some(path) = journal else {
+    let Some(path) = &a.journal else {
         return Ok((Backend(JournaledStore::new(store, None)), None));
     };
     let file = std::fs::File::create(path)
         .map_err(|e| CliError::Invalid(format!("--journal {path}: {e}")))?;
-    let mut writer = JournalWriter::new(file, sync);
+    let mut writer = JournalWriter::new(file, a.sync);
     writer
         .append(&Record::Header(SessionHeader {
             seed,
@@ -1607,7 +1152,8 @@ fn write_serve_json(
 /// prefix listed and the tail's structured error named.  Workload-level
 /// checks (fingerprint, replay) need the task set and are done by
 /// `serve --recover`; inspection only needs the bytes.
-fn journal_inspect(path: &str) -> Result<String, CliError> {
+fn journal_inspect(a: &JournalInspectArgs) -> Result<String, CliError> {
+    let path = &a.journal;
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Invalid(format!("--journal {path}: {e}")))?;
     let strict_err = parse_journal(&bytes, ReplayOptions::default()).err();
@@ -1798,14 +1344,9 @@ fn serve_daemon_on(listener: std::net::TcpListener, backend: &mut Backend) -> Re
         .map_err(|e| format!("epoll transport: {e}"))
 }
 
-fn solve_sm(
-    tasks: u64,
-    epsilon: f64,
-    dim: usize,
-    min_precompute: bool,
-    mps: Option<&str>,
-) -> Result<String, CliError> {
-    let sol = if min_precompute {
+fn solve_sm(a: &SolveSmArgs) -> Result<String, CliError> {
+    let (tasks, epsilon, dim) = (a.tasks, a.epsilon, a.dim);
+    let sol = if a.min_precompute {
         AssignmentMinimizing::solve_min_precompute(tasks, epsilon, dim)?
     } else {
         AssignmentMinimizing::solve(tasks, epsilon, dim)?
@@ -1815,7 +1356,7 @@ fn solve_sm(
         out,
         "S_{dim} at N = {}, eps = {epsilon}{}",
         inum(tasks),
-        if min_precompute {
+        if a.min_precompute {
             " (min-precompute refinement)"
         } else {
             ""
@@ -1835,7 +1376,7 @@ fn solve_sm(
         table.row(&[&i.to_string(), &fnum(w, 2)]);
     }
     out.push_str(&table.render());
-    if let Some(path) = mps {
+    if let Some(path) = &a.mps {
         // Rebuild the LP for export (the solver does not retain it).
         let mut lp = redundancy_lp::Problem::new(redundancy_lp::Sense::Minimize);
         let vars: Vec<_> = (1..=dim)
@@ -1863,7 +1404,8 @@ fn solve_sm(
     Ok(out)
 }
 
-fn certify(tasks: u64, epsilon: f64, max_dim: usize) -> Result<String, CliError> {
+fn certify(a: &CertifyArgs) -> Result<String, CliError> {
+    let (tasks, epsilon, max_dim) = (a.tasks, a.epsilon, a.max_dim);
     if max_dim < 2 {
         return Err(CliError::Invalid(format!(
             "--max-dim: S_m needs at least two multiplicities, got {max_dim}"
@@ -2298,17 +1840,12 @@ mod tests {
                 AdversaryModel::AssignmentFraction { p: 0.2 },
                 CheatStrategy::AtLeast { min_copies: 1 },
             );
-            let (mut backend, _) = make_backend(
-                &groups,
-                &campaign,
-                &ServeConfig::new(2),
-                7,
-                streams,
-                None,
-                SyncPolicy::Batch,
-                false,
-            )
-            .unwrap();
+            let argv = ["serve", "--seed", "7", "--streams", &streams.to_string()];
+            let Command::Serve(args) = parse_args(&argv.map(String::from)).unwrap() else {
+                unreachable!()
+            };
+            let (mut backend, _) =
+                make_backend(&args, &groups, &campaign, &ServeConfig::new(2)).unwrap();
             let served = serve_daemon_on(listener, &mut backend);
             let run = backend.finish(served, None).unwrap();
             let tag = format!("{streams:?}");

@@ -20,22 +20,22 @@
 //!
 //! Every command is a pure function from parsed arguments to a report
 //! string (plus optional file side effects), so the whole surface is unit
-//! tested without spawning processes.
+//! tested without spawning processes.  Each subcommand's flags live in one
+//! table (`args.rs`) that parsing, `help <command>` and the exit-2
+//! messages all read.
 
-pub mod args;
-pub mod bench;
-pub mod commands;
-
-pub use args::{parse_args, ArgError, Command};
+mod args;
+mod bench;
+mod commands;
 
 /// Entry point shared by `main` and the tests: parse and dispatch.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let command = parse_args(argv).map_err(|e| e.to_string())?;
+    let command = args::parse_args(argv).map_err(|e| e.to_string())?;
     commands::dispatch(&command).map_err(|e| e.to_string())
 }
 
 /// The top-level usage text.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 redundancy — optimal redundancy strategies for distributed computations
            (Szajda, Lawson, Owen; IEEE CLUSTER 2005)
 
@@ -57,12 +57,5 @@ COMMANDS:
     journal-inspect  List a serve journal's records and verify its integrity
     help       Show this message
 
-COMMON OPTIONS:
-    --tasks <N>            number of tasks (required by most commands)
-    --epsilon <0..1>       detection threshold
-    --scheme <NAME>        balanced | golle-stubblebine | simple | extended
-    --proportion <0..1>    adversary's assignment share (default 0)
-    --seed <U64>           RNG seed for randomized commands
-
-Run `redundancy help <COMMAND>` for command-specific options.
+Run `redundancy help <COMMAND>` for a command's flags and their defaults.
 ";

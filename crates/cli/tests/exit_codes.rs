@@ -80,6 +80,31 @@ fn zero_chunk_size_exits_two_naming_the_flag() {
     assert!(stderr.contains("--chunk-size"), "{stderr}");
 }
 
+/// `simulate --proportion` outside [0, 1) is refused by its flag's check,
+/// naming the flag, before any campaign is configured (it used to panic in
+/// the campaign set-up and exit 101).
+#[test]
+fn simulate_proportion_outside_its_range_exits_two_naming_the_flag() {
+    for value in ["1.5", "-0.2", "1", "nan", "inf"] {
+        let out = redundancy(&[
+            "simulate",
+            "--tasks",
+            "100",
+            "--epsilon",
+            "0.5",
+            "--campaigns",
+            "2",
+            "--proportion",
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{value}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error:"), "{value}: {stderr}");
+        assert!(stderr.contains("--proportion"), "{value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{value}: must not print a report");
+    }
+}
+
 #[test]
 fn unknown_command_exits_two() {
     let out = redundancy(&["frobnicate"]);

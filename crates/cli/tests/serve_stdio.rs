@@ -373,3 +373,73 @@ fn a_broken_stdout_keeps_the_journal() {
         "{report}"
     );
 }
+
+/// A crash between a `timeout-requeue` record and its tick record: the
+/// first `--recover` cuts the dangling record away with the torn tail, so
+/// the journal it resumes recovers a second time and inspects as intact.
+#[test]
+fn a_journal_cut_after_a_timeout_requeue_recovers_twice() {
+    let path = journal_path("requeue_cut");
+    let session = [
+        "serve",
+        "--tasks",
+        "200",
+        "--seed",
+        "7",
+        "--shards",
+        "3",
+        "--timeout",
+        "3",
+        "--retries",
+        "1",
+        "--journal",
+        &path,
+        "--sync",
+        "always",
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_redundancy"))
+        .args(session)
+        .arg("--stdio")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawning the daemon");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(&frame("request-work").repeat(60)).unwrap();
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    // Cut the journal right after its first timeout-requeue (tag 6).
+    let bytes = std::fs::read(&path).unwrap();
+    let (mut end, mut index) = (0, 0);
+    loop {
+        let len = u32::from_be_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+        let tag = bytes[end + 4];
+        end += 4 + len + 8;
+        if tag == 6 {
+            break;
+        }
+        index += 1;
+    }
+    assert_eq!(index, 4, "the first timeout-requeue moved");
+    std::fs::write(&path, &bytes[..end]).unwrap();
+    let mut recover = session.to_vec();
+    recover.push("--recover");
+    for pass in ["first", "second"] {
+        let out = redundancy(&recover);
+        let report = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{pass}: {report}{stderr}");
+        assert!(
+            report.ends_with("journal replay oracle: bit-identical\n"),
+            "{pass}: {report}"
+        );
+        if pass == "first" {
+            assert!(report.contains("torn tail truncated"), "{report}");
+        }
+    }
+    let inspect = redundancy(&["journal-inspect", "--journal", &path]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(inspect.status.code(), Some(0), "{inspect:?}");
+    let listing = String::from_utf8(inspect.stdout).unwrap();
+    assert!(listing.ends_with("integrity: intact\n"), "{listing}");
+}

@@ -842,7 +842,9 @@ pub struct ReplayOptions {
     /// Tolerate a torn tail: stop at the last fully verified record
     /// instead of reporting the truncation/corruption as an error.  This
     /// is the `--recover` semantic (a crash mid-append is expected); the
-    /// strict default is the integrity-checking semantic.
+    /// strict default is the integrity-checking semantic.  Replay also
+    /// counts a trailing `timeout-requeue` whose tick record never landed
+    /// as torn, so the prefix it returns is one a recovery can append to.
     pub allow_torn_tail: bool,
 }
 
@@ -954,7 +956,9 @@ pub struct Replayed {
     /// The chain value after the last verified record — the session's
     /// replay checksum.
     pub chain: u64,
-    /// True when a torn tail was truncated away.
+    /// True when a torn tail (or, under
+    /// [`ReplayOptions::allow_torn_tail`], a dangling `timeout-requeue`)
+    /// lies past `valid_len`.
     pub torn_tail: bool,
 }
 
@@ -1079,16 +1083,30 @@ pub fn replay_groups(
         }
     }
     // A dangling trailing timeout-requeue means the crash landed between
-    // it and its tick record; the store is at the last call boundary,
-    // which is exactly the state the verified prefix describes.
-    Ok(Replayed {
+    // it and its tick record; the store is at the call boundary before it.
+    let mut replayed = Replayed {
         store,
         header,
         records: parsed.records.len() as u64,
         valid_len: parsed.valid_len,
         chain: parsed.chain,
         torn_tail: parsed.torn_tail,
-    })
+    };
+    if pending.is_some() && opts.allow_torn_tail {
+        // A recovery resumes appending where the prefix ends, so the
+        // prefix ends at that boundary too: left in place, the record would
+        // be followed by the resumed session's records instead of a tick,
+        // and the journal could not be replayed again.  The chain value
+        // there is the 8 chain bytes that end where the record starts.
+        let mut payload = Vec::new();
+        parsed.records[parsed.records.len() - 1].encode_into(&mut payload);
+        let start = parsed.valid_len as usize - (4 + payload.len() + 8);
+        replayed.records -= 1;
+        replayed.valid_len = start as u64;
+        replayed.chain = u64::from_le_bytes(bytes[start - 8..start].try_into().expect("8 bytes"));
+        replayed.torn_tail = true;
+    }
+    Ok(replayed)
 }
 
 /// Execute one tick and verify its expiry deltas against the pending
@@ -1313,6 +1331,9 @@ mod tests {
             },
             "replay chain does not match a direct re-fold of the stream"
         );
+        let records = parse_journal(&bytes, ReplayOptions::default())
+            .unwrap()
+            .records;
         for r in 2..=ends.len() {
             let torn = &bytes[..ends[r - 1] - 3];
             match replay(torn, &tasks, &cfg) {
@@ -1330,9 +1351,16 @@ mod tests {
                 },
             )
             .unwrap_or_else(|e| panic!("tolerant replay of torn record {r} failed: {e}"));
+            // A torn tick record leaves its timeout-requeue dangling, and
+            // the recoverable prefix ends before that record too.
+            let kept = if matches!(records[r - 2], Record::TimeoutRequeue { .. }) {
+                r - 2
+            } else {
+                r - 1
+            };
             assert!(rep.torn_tail);
-            assert_eq!(rep.records, (r - 1) as u64);
-            assert_eq!(rep.valid_len, ends[r - 2] as u64);
+            assert_eq!(rep.records, kept as u64);
+            assert_eq!(rep.valid_len, ends[kept - 1] as u64);
             assert_drain_equivalent(
                 &DrainState::of(&rep.store),
                 expected_state(&snaps, (r - 1) as u64),
@@ -1348,6 +1376,71 @@ mod tests {
     #[test]
     fn replay_matches_every_record_boundary_per_shard() {
         crash_oracle(StreamMode::PerShard, 2, 7);
+    }
+
+    /// A crash between a timeout-requeue and its tick record: recovery
+    /// cuts the dangling record away, so the resumed journal (a reset, then
+    /// the rest of the drain) replays strictly and recovers again.
+    #[test]
+    fn a_journal_cut_after_a_timeout_requeue_recovers_twice() {
+        let tolerant = ReplayOptions {
+            allow_torn_tail: true,
+        };
+        for mode in [StreamMode::Single, StreamMode::PerShard] {
+            let tasks = specs(60);
+            let cfg = campaign();
+            let serve = serve_config(3, 4);
+            let (bytes, snaps) = journal_session(&tasks, &cfg, &serve, 7, mode);
+            let ends = record_ends(&bytes);
+            let records = parse_journal(&bytes, ReplayOptions::default())
+                .unwrap()
+                .records;
+            let mut cuts = 0;
+            for (i, rec) in records.iter().enumerate() {
+                if !matches!(rec, Record::TimeoutRequeue { .. }) {
+                    continue;
+                }
+                cuts += 1;
+                let rep = replay_with(&bytes[..ends[i]], &tasks, &cfg, tolerant).unwrap();
+                assert!(rep.torn_tail, "{mode:?}: record {i}");
+                assert_eq!(rep.records, i as u64);
+                assert_eq!(rep.valid_len, ends[i - 1] as u64);
+                let before = replay(&bytes[..ends[i - 1]], &tasks, &cfg).unwrap();
+                assert_eq!(rep.chain, before.chain);
+                assert_drain_equivalent(
+                    &DrainState::of(&rep.store),
+                    expected_state(&snaps, i as u64),
+                );
+                // Resume as `serve --recover` does: keep the prefix, reset
+                // the copies in flight, and drain.
+                let buf = SharedBuf::new();
+                buf.clone().write_all(&bytes[..ends[i - 1]]).unwrap();
+                let writer = JournalWriter::resume(
+                    buf.clone(),
+                    SyncPolicy::Always,
+                    rep.chain,
+                    rep.records,
+                    rep.valid_len,
+                );
+                let mut js = JournaledStore::new(rep.store, Some(writer));
+                js.reset_in_flight();
+                js.drain();
+                js.note_shutdown();
+                assert!(js.error().is_none());
+                let state = DrainState::of(&js);
+                drop(js.finish().unwrap());
+                let resumed = buf.snapshot();
+                let again = replay(&resumed, &tasks, &cfg)
+                    .unwrap_or_else(|e| panic!("{mode:?}: resumed at record {i}: {e}"));
+                assert_drain_equivalent(&DrainState::of(&again.store), &state);
+                assert!(
+                    !replay_with(&resumed, &tasks, &cfg, tolerant)
+                        .unwrap()
+                        .torn_tail
+                );
+            }
+            assert!(cuts > 0, "{mode:?}: the session fired no timeouts");
+        }
     }
 
     #[test]
