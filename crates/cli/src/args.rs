@@ -508,7 +508,7 @@ const EPSILON: Flag =
     Flag::new("--epsilon", open_unit, "a number strictly inside (0, 1)").required();
 const PROPORTION: Flag = Flag::new("--proportion", share, "a number in [0, 1)").or("0");
 const SEED: Flag = Flag::new("--seed", parses::<u64>, "a 64-bit integer").or("20050926");
-const CAMPAIGNS: Flag = Flag::new("--campaigns", parses::<u64>, "a non-negative integer").or("20");
+const CAMPAIGNS: Flag = Flag::new("--campaigns", positive::<u64>, "a positive integer").or("20");
 const CHUNK_SIZE: Flag = Flag::new("--chunk-size", parses::<u64>, "a positive integer").or("4");
 const THREADS: Flag = Flag::new("--threads", parses::<usize>, "a thread count (0 = auto)").or("0");
 const TIMEOUT: Flag = Flag::new("--timeout", positive::<u64>, "a positive number of ticks").or("8");
@@ -521,8 +521,11 @@ const STEPS: Flag = Flag::new(
 .or("5");
 const JSON: Flag = Flag::new("--json", parses::<String>, "a file path");
 const JOURNAL: Flag = Flag::new("--journal", parses::<String>, "a file path");
-const MIN_MULTIPLICITY: Flag =
-    Flag::new("--min-multiplicity", parses::<usize>, "a positive integer");
+const MIN_MULTIPLICITY: Flag = Flag::new(
+    "--min-multiplicity",
+    positive::<usize>,
+    "a positive integer",
+);
 
 #[rustfmt::skip]
 const PLAN_FLAGS: &[Flag] = &[
@@ -961,8 +964,9 @@ Figure 2 setting (N = 100,000, eps = 0.5).
 Runs the pinned performance fixtures (batched and alias-table campaign
 kernels vs the frozen reference loop, cached/walking/alias samplers,
 run_trials thread scaling, a parallel sweep, a discrete-event churn soak,
-the live-serve protocol loop, an S_m LP sweep) and writes a
-`redundancy-bench/v1` JSON
+the live-serve protocol loop, an S_m LP sweep, and ablations of the
+simplex pivot rule, closed-form vs generic detection, and single-stage vs
+lexicographic S_m) and writes a `redundancy-bench/v1` JSON
 report (default BENCH_report.json) with per-fixture median wall time,
 tasks/sec, assignments/sec, and a determinism checksum, plus top-level
 speedup_t2/speedup_t4 parallel-efficiency fields.  --threads caps the

@@ -1,13 +1,15 @@
 //! The `redundancy bench` subcommand: pinned performance fixtures with a
 //! machine-readable report and a regression gate.
 //!
-//! Unlike the criterion benches (which explore), this command *pins*: a
-//! fixed set of fixtures — the batched campaign kernel against its frozen
+//! A fixed set of fixtures — the batched campaign kernel against its frozen
 //! reference, the cached samplers against the per-draw walks, `run_trials`
-//! thread scaling, the churn soak, the live-serve protocol loop, and an LP
-//! sweep — each run `reps` times with the median wall time reported.  The result is written as `redundancy-bench/v1`
-//! JSON so CI can archive it and compare runs; `--baseline` fails the
-//! command (exit 2) when any fixture's median regresses beyond 2x.
+//! thread scaling, the churn soak, the live-serve protocol loop, an LP
+//! sweep, and ablations of three design choices (the simplex pivot rule,
+//! closed-form against generic detection, single-stage against
+//! lexicographic `S_m`) — each run `reps` times with the median wall time
+//! reported.  The result is written as `redundancy-bench/v1` JSON so CI
+//! can archive it and compare runs; `--baseline` fails the command (exit
+//! 2) when any fixture's median regresses beyond 2x.
 //!
 //! Every fixture returns a checksum folded from its outputs, both to keep
 //! the optimizer honest and to make silent semantic drift visible when two
@@ -15,8 +17,9 @@
 
 use crate::args::BenchArgs;
 use crate::commands::{check_trial_config, CliError, Volunteer};
-use redundancy_core::{AssignmentMinimizing, RealizedPlan};
+use redundancy_core::{AssignmentMinimizing, Balanced, DetectionProfile, RealizedPlan, Scheme};
 use redundancy_json::{num_u64, obj, Json};
+use redundancy_lp::{PivotRule, Problem, Relation, Sense, SimplexOptions};
 use redundancy_sim::engine::reference;
 use redundancy_sim::outcome::CampaignOutcome;
 use redundancy_sim::serve::{handle_request, Store, StreamMode, WorkStore};
@@ -25,6 +28,7 @@ use redundancy_sim::{
     run_campaign_groups, AdversaryModel, CampaignAccumulator, CampaignConfig, CampaignScratch,
     CheatStrategy, FaultModel, ServeConfig, ServeStats,
 };
+use redundancy_stats::special::binomial;
 use redundancy_stats::table::{fnum, inum, Table};
 use redundancy_stats::{
     parallel_sweep, run_trials, sample_binomial, BinomialCache, DeterministicRng, SamplerMode,
@@ -219,6 +223,59 @@ fn thread_ladder(cap: usize) -> Vec<usize> {
         .into_iter()
         .filter(|&t| cap == 0 || t <= cap)
         .collect()
+}
+
+/// Detection thresholds of the paper's figures, swept by the detection
+/// ablation.
+const EPSILONS: [f64; 4] = [0.25, 0.5, 0.75, 0.9];
+
+/// Adversary proportions of the non-asymptotic detection curves.
+const PROPORTIONS: [f64; 4] = [0.0, 0.05, 0.1, 0.15];
+
+/// Paper-scale task counts.
+const TASK_COUNTS: [u64; 3] = [10_000, 100_000, 1_000_000];
+
+/// An `S_m`-shaped LP built by hand at N = 10⁵, ε = ½, so the pivot-rule
+/// ablation does not go through the core crate's fixed simplex options.
+fn fig2_style_lp(dim: usize) -> Problem {
+    let mut lp = Problem::new(Sense::Minimize);
+    let vars: Vec<_> = (1..=dim)
+        .map(|i| lp.add_variable(format!("x{i}")))
+        .collect();
+    for (i, v) in vars.iter().enumerate() {
+        lp.set_objective(*v, (i + 1) as f64);
+    }
+    let cover: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+    lp.add_constraint(&cover, Relation::Ge, 100_000.0);
+    for k in 1..dim {
+        let mut terms = vec![(vars[k - 1], -0.5)];
+        let mut scale = 0.5f64;
+        for i in (k + 1)..=dim {
+            let coeff = 0.5 * binomial(i as u64, k as u64);
+            scale = scale.max(coeff);
+            terms.push((vars[i - 1], coeff));
+        }
+        for t in &mut terms {
+            t.1 /= scale;
+        }
+        lp.add_constraint(&terms, Relation::Ge, 0.0);
+    }
+    lp
+}
+
+/// Fold the bits of `p_3p` at every point of the detection grid: each
+/// Balanced distribution with its profile, at every adversary proportion.
+fn fold_detection_grid(
+    schemes: &[(Balanced, DetectionProfile)],
+    p_3p: impl Fn(&Balanced, &DetectionProfile, f64) -> f64,
+) -> u64 {
+    let mut acc = 0u64;
+    for (bal, prof) in schemes {
+        for &p in &PROPORTIONS {
+            acc = acc.wrapping_add(p_3p(bal, prof, p).to_bits());
+        }
+    }
+    acc
 }
 
 /// Run every fixture and collect the report rows.
@@ -655,6 +712,102 @@ fn run_fixtures(
         ));
     }
 
+    // Ablation, simplex pivot rule: the one S_m-shaped LP under each rule;
+    // the checksum is the pivot count.
+    {
+        let lp = fig2_style_lp(sizes.lp_max_dim);
+        for (name, pivot_rule) in [
+            ("ablation_pivot_adaptive", PivotRule::default()),
+            ("ablation_pivot_bland", PivotRule::Bland),
+            ("ablation_pivot_dantzig", PivotRule::Dantzig),
+        ] {
+            let opts = SimplexOptions {
+                pivot_rule,
+                ..SimplexOptions::default()
+            };
+            records.push(record(
+                name,
+                sizes.lp_reps,
+                1,
+                0,
+                measure(sizes.lp_reps, || {
+                    let sol = lp.solve_with(&opts).expect("pinned pivot-rule LP solves");
+                    sol.pivots as u64
+                }),
+            ));
+        }
+    }
+
+    // Ablation, detection path: Proposition 3's closed form for P_{3,p}
+    // against the generic tuple count over the same Balanced distribution,
+    // on the paper grids.  The profiles are built outside the timed loop.
+    {
+        let mut schemes = Vec::new();
+        for &n in &TASK_COUNTS {
+            for &eps in &EPSILONS {
+                let bal = Balanced::new(n, eps).map_err(CliError::Core)?;
+                let prof = bal.detection_profile();
+                schemes.push((bal, prof));
+            }
+        }
+        let points = (schemes.len() * PROPORTIONS.len()) as u64;
+        records.push(record(
+            "ablation_detection_closed_form",
+            sizes.lp_reps,
+            points,
+            0,
+            measure(sizes.lp_reps, || {
+                fold_detection_grid(&schemes, |bal, _, p| {
+                    bal.p_nonasymptotic(3, p)
+                        .expect("grid proportions are valid")
+                })
+            }),
+        ));
+        records.push(record(
+            "ablation_detection_generic",
+            sizes.lp_reps,
+            points,
+            0,
+            measure(sizes.lp_reps, || {
+                fold_detection_grid(&schemes, |_, prof, p| {
+                    prof.p_nonasymptotic(3, p)
+                        .expect("grid proportions are valid")
+                        .expect("every grid distribution has 3-tuples")
+                })
+            }),
+        ));
+    }
+
+    // Ablation, lexicographic refinement: S_m solved for the fewest
+    // assignments alone, and again for the least precompute at that cost;
+    // the checksum folds the objective and precompute bits.
+    {
+        let dim = sizes.lp_max_dim;
+        for (name, solve) in [
+            (
+                "ablation_sm_single_stage",
+                AssignmentMinimizing::solve as fn(_, _, _) -> _,
+            ),
+            (
+                "ablation_sm_min_precompute",
+                AssignmentMinimizing::solve_min_precompute,
+            ),
+        ] {
+            records.push(record(
+                name,
+                sizes.lp_reps,
+                1,
+                0,
+                measure(sizes.lp_reps, || {
+                    let sol = solve(100_000, 0.5, dim).expect("pinned S_m fixture solves");
+                    sol.objective()
+                        .to_bits()
+                        .wrapping_add(sol.precompute_required().to_bits())
+                }),
+            ));
+        }
+    }
+
     Ok(records)
 }
 
@@ -995,6 +1148,56 @@ mod tests {
         let _ = median;
     }
 
+    /// Every fixture a full-ladder smoke run reports, in order.
+    const SMOKE_FIXTURES: [&str; 23] = [
+        "campaign_batched",
+        "campaign_fast",
+        "campaign_reference",
+        "sampler_binomial_cached",
+        "sampler_binomial_walk",
+        "sampler_alias",
+        "run_trials_t1",
+        "run_trials_t2",
+        "run_trials_t4",
+        "sweep_serial",
+        "sweep_parallel",
+        "churn_step",
+        "serve_throughput",
+        "serve_journal",
+        "serve_concurrent",
+        "lp_sweep",
+        "ablation_pivot_adaptive",
+        "ablation_pivot_bland",
+        "ablation_pivot_dantzig",
+        "ablation_detection_closed_form",
+        "ablation_detection_generic",
+        "ablation_sm_single_stage",
+        "ablation_sm_min_precompute",
+    ];
+
+    /// The gate skips a baseline entry with no fresh record, so a renamed
+    /// or dropped fixture would leave CI's gate without failing it.
+    #[test]
+    fn every_baseline_fixture_is_still_run() {
+        let baseline =
+            redundancy_json::parse(include_str!("../../../BENCH_baseline.json")).unwrap();
+        for entry in baseline.field_arr("benches").unwrap() {
+            let name = entry.field_str("name").unwrap();
+            assert!(
+                SMOKE_FIXTURES.contains(&name),
+                "BENCH_baseline.json gates `{name}`, which no smoke run reports"
+            );
+        }
+    }
+
+    #[test]
+    fn grids_are_well_formed() {
+        assert!(EPSILONS.iter().all(|&e| 0.0 < e && e < 1.0));
+        assert!(EPSILONS.windows(2).all(|w| w[0] < w[1]));
+        assert!(PROPORTIONS.iter().all(|&p| (0.0..1.0).contains(&p)));
+        assert!(TASK_COUNTS.iter().all(|&n| n > 0));
+    }
+
     #[test]
     fn smoke_bench_writes_valid_report() {
         let path = std::env::temp_dir().join("cli_bench_smoke_test.json");
@@ -1022,26 +1225,7 @@ mod tests {
             .iter()
             .map(|b| b.field_str("name").unwrap())
             .collect();
-        for expected in [
-            "campaign_batched",
-            "campaign_fast",
-            "campaign_reference",
-            "sampler_binomial_cached",
-            "sampler_binomial_walk",
-            "sampler_alias",
-            "run_trials_t1",
-            "run_trials_t2",
-            "run_trials_t4",
-            "sweep_serial",
-            "sweep_parallel",
-            "churn_step",
-            "serve_throughput",
-            "serve_journal",
-            "serve_concurrent",
-            "lp_sweep",
-        ] {
-            assert!(names.contains(&expected), "missing {expected}: {names:?}");
-        }
+        assert_eq!(names, SMOKE_FIXTURES);
         assert!(json.field_f64("journal_overhead").unwrap() > 0.0);
         // The concurrency ladder covers the full (shards, clients) grid,
         // and every client count of a shard row reports the same drained

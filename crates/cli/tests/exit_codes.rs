@@ -105,6 +105,64 @@ fn simulate_proportion_outside_its_range_exits_two_naming_the_flag() {
     }
 }
 
+/// Zero campaigns would report on nothing (`simulate` blamed the adversary
+/// share, `faults` printed detection 0 on every row), so each command that
+/// takes `--campaigns` refuses 0 in its flag's check.
+#[test]
+fn zero_campaigns_exit_two_naming_the_flag() {
+    for command in ["simulate", "faults", "churn"] {
+        let out = redundancy(&[
+            command,
+            "--tasks",
+            "100",
+            "--epsilon",
+            "0.5",
+            "--campaigns",
+            "0",
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{command}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("bad value `0` for `--campaigns` (expected a positive integer)"),
+            "{command}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command}: must not print a report");
+    }
+}
+
+/// `--min-multiplicity 0` means the same in both commands that take it: a
+/// bad value.  To ask for no minimum, the flag is omitted.
+#[test]
+fn zero_min_multiplicity_exits_two_in_advise_and_plan() {
+    for command in [
+        &["advise", "--tasks", "100", "--epsilon", "0.5"][..],
+        &[
+            "plan",
+            "--tasks",
+            "100",
+            "--epsilon",
+            "0.5",
+            "--scheme",
+            "extended",
+        ][..],
+    ] {
+        let mut args = command.to_vec();
+        args.extend(["--min-multiplicity", "0"]);
+        let out = redundancy(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains(
+                    "bad value `0` for `--min-multiplicity` (expected a positive integer)"
+                ),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: must not print a report");
+    }
+}
+
 #[test]
 fn unknown_command_exits_two() {
     let out = redundancy(&["frobnicate"]);

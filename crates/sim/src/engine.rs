@@ -585,8 +585,8 @@ pub fn run_campaign_groups_with_faults(
 ///
 /// These are the original per-task, uncached, allocate-per-campaign loops,
 /// kept verbatim as (a) the oracle for the differential tests that prove
-/// the batched kernel bit-identical, and (b) the baseline the criterion
-/// benches and `redundancy bench` measure the speedup against.  Do not
+/// the batched kernel bit-identical, and (b) the baseline the
+/// `redundancy bench` fixtures measure the speedup against.  Do not
 /// optimize or "clean up" this module: its entire value is that it stays
 /// put.
 pub mod reference {
